@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
+#include <mutex>
 #include <utility>
 
 #include "storage/quantized_store.h"
@@ -21,35 +21,124 @@ namespace {
 /// the classic exact-only path — when no quantized tier is active or the
 /// live candidate list is not larger than k' (then pruning could only drop
 /// candidates the exact pass would have scored anyway, so the quantized and
-/// exact paths degenerate to the same verification).
+/// exact paths degenerate to the same verification). `live` and `scores`
+/// are the caller's reusable buffers; their contents are overwritten.
 bool QuantizedPrune(const storage::VectorStore& store, util::Metric metric,
                     const float* query,
                     const std::vector<LccsCandidate>& cands,
                     const uint8_t* deleted, size_t k,
-                    std::vector<int32_t>* pruned) {
+                    std::vector<int32_t>* pruned, std::vector<int32_t>* live,
+                    std::vector<float>* scores) {
   size_t row_offset = 0;
   const storage::QuantizedStore* qs =
       storage::ActiveQuantized(&store, metric, &row_offset);
   if (qs == nullptr || k == 0) return false;
   const size_t keep = storage::RerankKeep(k);
-  std::vector<int32_t> live;
-  live.reserve(cands.size());
+  live->clear();
   for (const LccsCandidate& c : cands) {
     if (deleted != nullptr && deleted[c.id] != 0) continue;
-    live.push_back(c.id);
+    live->push_back(c.id);
   }
-  if (live.size() <= keep) return false;
+  if (live->size() <= keep) return false;
   const storage::QuantizedStore::PreparedQuery pq = qs->Prepare(query);
-  std::vector<float> scores(live.size());
-  qs->ScoreCandidates(pq, live.data(), live.size(), row_offset,
-                      scores.data());
+  scores->resize(live->size());
+  qs->ScoreCandidates(pq, live->data(), live->size(), row_offset,
+                      scores->data());
   storage::RerankSelector selector(keep);
-  for (size_t i = 0; i < live.size(); ++i) {
-    selector.Offer(scores[i], live[i]);
+  for (size_t i = 0; i < live->size(); ++i) {
+    selector.Offer((*scores)[i], (*live)[i]);
   }
   *pruned = selector.TakeAscendingIds();
   return true;
 }
+
+/// Byte budget of one window's buffer set. QueryBatch runs a larger batch
+/// as consecutive windows that fit it (a serving window — 64 queries at
+/// λ = 2000 — needs about 3 MB), so a one-off bulk batch cannot grow the
+/// retained sets to tens of MB each; a set that still outgrows it (one
+/// query's candidates alone, or the union bitmap of a huge index) is freed
+/// on return instead of kept.
+constexpr size_t kMaxRetainedScratchBytes = size_t{4} << 20;
+
+/// Window-buffer bytes per candidate: the candidate, its blocked id and
+/// slot, and its distance.
+constexpr size_t kScratchBytesPerCandidate =
+    sizeof(LccsCandidate) + 2 * sizeof(int32_t) + sizeof(double);
+
+/// Lends the calling thread a T from a process-wide free list and takes it
+/// back on destruction, so QueryBatch's window transients are reused across
+/// windows instead of allocated per call. With shards answered concurrently
+/// every fan-out thread runs whole shard windows; fresh buffers would come
+/// from each thread's own malloc arena, and each arena keeps its high-water
+/// mark resident. The list holds as many buffer sets as ever ran at once,
+/// however many threads took turns with them. Re-entrant: a thread that
+/// steals another shard's window while waiting inside its own borrows a
+/// second set.
+template <typename T>
+class ScratchLease {
+ public:
+  ScratchLease() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!free_.empty()) {
+        item_ = std::move(free_.back());
+        free_.pop_back();
+      }
+    }
+    if (item_ == nullptr) item_ = std::make_unique<T>();
+  }
+  ~ScratchLease() {
+    if (item_->Bytes() > kMaxRetainedScratchBytes) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    free_.push_back(std::move(item_));
+  }
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+
+  T* operator->() const { return item_.get(); }
+
+ private:
+  static inline std::mutex mu_;
+  static inline std::vector<std::unique_ptr<T>> free_;
+  std::unique_ptr<T> item_;
+};
+
+template <typename V>
+size_t CapacityBytes(const V& v) {
+  return v.capacity() * sizeof(typename V::value_type);
+}
+
+/// QueryBatch's whole-window buffers (see the phase comments there). Sizes
+/// are set per call; capacity carries over.
+struct WindowBuffers {
+  std::vector<HashValue> hashes;
+  std::vector<std::vector<LccsCandidate>> cands;
+  std::vector<size_t> offsets;
+  std::vector<uint8_t> in_union;
+  std::vector<int32_t> union_ids;
+  std::vector<int32_t> blocked_ids;
+  std::vector<int32_t> blocked_slots;
+  std::vector<double> dists;
+  std::vector<int32_t> block_off;
+
+  size_t Bytes() const {
+    size_t bytes = CapacityBytes(hashes) + CapacityBytes(cands) +
+                   CapacityBytes(offsets) + CapacityBytes(in_union) +
+                   CapacityBytes(union_ids) + CapacityBytes(blocked_ids) +
+                   CapacityBytes(blocked_slots) + CapacityBytes(dists) +
+                   CapacityBytes(block_off);
+    for (const auto& list : cands) bytes += CapacityBytes(list);
+    return bytes;
+  }
+};
+
+/// One prune chunk's buffers (QuantizedPrune's live list and scores).
+struct PruneBuffers {
+  std::vector<int32_t> live;
+  std::vector<float> scores;
+
+  size_t Bytes() const { return CapacityBytes(live) + CapacityBytes(scores); }
+};
 
 }  // namespace
 
@@ -148,8 +237,10 @@ std::vector<util::Neighbor> LccsLsh::Query(const float* query, size_t k,
   AppendCandidates(query, scratch->hash.data(), CandidateBudget(k, lambda),
                    scratch.get(), &candidates);
   std::vector<int32_t> ids;
+  std::vector<int32_t> live;
+  std::vector<float> scores;
   if (QuantizedPrune(*store_, metric_, query, candidates, deleted_rows(), k,
-                     &ids)) {
+                     &ids, &live, &scores)) {
     // Two-phase path: only the k' survivors' exact rows are touched — in
     // place for heap stores, via a copy gather for budget-mapped ones. The
     // pruned list is already tombstone-filtered.
@@ -173,12 +264,31 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
   std::vector<std::vector<util::Neighbor>> results(num_queries);
   if (num_queries == 0) return results;
   assert(store_ != nullptr);
+  // Every query's answer is independent of the window it runs in, so
+  // splitting only bounds the window buffers (see kMaxRetainedScratchBytes).
+  const size_t per_query =
+      std::min(CandidateBudget(k, lambda), n_) * kScratchBytesPerCandidate;
+  const size_t window =
+      std::max<size_t>(1, kMaxRetainedScratchBytes / std::max<size_t>(
+                                                          1, per_query));
+  for (size_t begin = 0; begin < num_queries; begin += window) {
+    QueryWindow(queries + begin * d_, std::min(window, num_queries - begin),
+                k, lambda, num_threads, results.data() + begin);
+  }
+  return results;
+}
+
+void LccsLsh::QueryWindow(const float* queries, size_t num_queries, size_t k,
+                          size_t lambda, size_t num_threads,
+                          std::vector<util::Neighbor>* results) const {
   const size_t m = family_->num_functions();
   const size_t count = CandidateBudget(k, lambda);
   const uint8_t* deleted = deleted_rows();
+  const ScratchLease<WindowBuffers> window;
 
   // Phase 1: hash the whole window in one ParallelFor pass.
-  std::vector<HashValue> hashes(num_queries * m);
+  std::vector<HashValue>& hashes = window->hashes;
+  hashes.resize(num_queries * m);
   util::ParallelFor(
       num_queries,
       [&](size_t begin, size_t end) {
@@ -196,12 +306,9 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
   // one. Per query the iterations are identical, so each query's list still
   // preserves the sequential surfacing order — that order is replayed in
   // phase 5, so TopK tie-breaking matches per-query Query.
-  static const size_t kInterleave = [] {
-    const char* env = std::getenv("LCCS_BATCH_INTERLEAVE");
-    const long v = env != nullptr ? std::atol(env) : 0;
-    return v >= 1 ? static_cast<size_t>(v) : size_t{8};
-  }();
-  std::vector<std::vector<LccsCandidate>> cands(num_queries);
+  constexpr size_t kInterleave = 8;
+  std::vector<std::vector<LccsCandidate>>& cands = window->cands;
+  if (cands.size() < num_queries) cands.resize(num_queries);
   util::ParallelFor(
       num_queries,
       [&](size_t begin, size_t end) {
@@ -215,6 +322,7 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
           jobs.clear();
           for (size_t q = g; q < g_end; ++q) {
             QueryScratch* scratch = scratches[q - g].get();
+            cands[q].clear();
             cands[q].reserve(std::min<size_t>(count, n_));
             PrepareSearch(queries + q * d_, hashes.data() + q * m, scratch);
             jobs.push_back({scratch->probe_ptrs.data(),
@@ -236,17 +344,18 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
   util::ParallelFor(
       num_queries,
       [&](size_t begin, size_t end) {
+        const ScratchLease<PruneBuffers> prune;
         std::vector<int32_t> pruned;
         for (size_t q = begin; q < end; ++q) {
           if (!QuantizedPrune(*store_, metric_, queries + q * d_, cands[q],
-                              deleted, k, &pruned)) {
+                              deleted, k, &pruned, &prune->live,
+                              &prune->scores)) {
             continue;
           }
-          std::vector<LccsCandidate> replaced(pruned.size());
+          cands[q].resize(pruned.size());
           for (size_t i = 0; i < pruned.size(); ++i) {
-            replaced[i] = LccsCandidate{pruned[i], 0};
+            cands[q][i] = LccsCandidate{pruned[i], 0};
           }
-          cands[q] = std::move(replaced);
         }
       },
       num_threads);
@@ -262,20 +371,30 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
   const size_t rows_per_block =
       std::max<size_t>(size_t{1}, (size_t{256} << 10) / row_bytes);
   const size_t num_blocks = (n_ + rows_per_block - 1) / rows_per_block;
-  std::vector<size_t> offsets(num_queries + 1, 0);
+  std::vector<size_t>& offsets = window->offsets;
+  offsets.assign(num_queries + 1, 0);
   for (size_t q = 0; q < num_queries; ++q) {
     offsets[q + 1] = offsets[q] + cands[q].size();
   }
   const size_t total = offsets[num_queries];
-  std::vector<uint8_t> in_union(n_, 0);
-  std::vector<int32_t> union_ids;
-  std::vector<int32_t> blocked_ids(total);    // per query, block-major
-  std::vector<int32_t> blocked_slots(total);  // original slot of blocked_ids[i]
-  std::vector<double> dists(total);
+  // in_union is all zeros between windows: only the union's entries are
+  // set below, and they are reset once the union is taken.
+  std::vector<uint8_t>& in_union = window->in_union;
+  if (in_union.size() < n_) in_union.resize(n_, 0);
+  std::vector<int32_t>& union_ids = window->union_ids;
+  union_ids.clear();
+  // Per query, block-major ids, and the original slot of each.
+  std::vector<int32_t>& blocked_ids = window->blocked_ids;
+  std::vector<int32_t>& blocked_slots = window->blocked_slots;
+  std::vector<double>& dists = window->dists;
+  blocked_ids.resize(total);
+  blocked_slots.resize(total);
+  dists.resize(total);
   // block_off row q: after the place pass, query q's block b run sits at
   // [b == 0 ? 0 : row[b-1], row[b]) within the query's region; row
   // [num_blocks] stays the query's live-candidate count.
-  std::vector<int32_t> block_off((num_blocks + 1) * num_queries, 0);
+  std::vector<int32_t>& block_off = window->block_off;
+  block_off.assign((num_blocks + 1) * num_queries, 0);
   for (size_t q = 0; q < num_queries; ++q) {
     const std::vector<LccsCandidate>& list = cands[q];
     int32_t* boff = block_off.data() + q * (num_blocks + 1);
@@ -298,6 +417,7 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
       blocked_slots[offsets[q] + pos] = static_cast<int32_t>(s);
     }
   }
+  for (const int32_t id : union_ids) in_union[static_cast<size_t>(id)] = 0;
   std::sort(union_ids.begin(), union_ids.end());
   store_->PrefetchRows(union_ids.data(), union_ids.size());
 
@@ -343,7 +463,6 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
         }
       },
       num_threads);
-  return results;
 }
 
 }  // namespace core

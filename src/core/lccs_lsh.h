@@ -60,7 +60,9 @@ class LccsLsh {
   /// and one deduplicated PrefetchRows + cache-blocked verification gather
   /// over the union of candidate rows, scattering distances back into each
   /// query's TopK in its original candidate order (which is what keeps
-  /// tie-breaking, and therefore results, bit-identical).
+  /// tie-breaking, and therefore results, bit-identical). The window
+  /// buffers are reused across calls; a batch too large for their fixed
+  /// byte budget runs as consecutive windows that fit it.
   std::vector<std::vector<util::Neighbor>> QueryBatch(const float* queries,
                                                       size_t num_queries,
                                                       size_t k, size_t lambda,
@@ -161,6 +163,11 @@ class LccsLsh {
     return lambda + (k > 0 ? k - 1 : 0) + deleted_count_;
   }
 
+  /// QueryBatch's body for one window of queries: answers rows
+  /// [0, num_queries) of `queries` into results[0, num_queries).
+  void QueryWindow(const float* queries, size_t num_queries, size_t k,
+                   size_t lambda, size_t num_threads,
+                   std::vector<util::Neighbor>* results) const;
   /// Raw tombstone bitmap for verification call sites (nullptr = no filter).
   const uint8_t* deleted_rows() const {
     return deleted_ != nullptr ? deleted_->data() : nullptr;

@@ -127,8 +127,9 @@ class Server {
     size_t max_batch = 64;
     /// ... or this many microseconds after its first query was admitted.
     uint64_t max_delay_us = 1000;
-    /// Fan-out for the batch execution (ShardedSnapshot::QueryBatch);
-    /// 0 = hardware concurrency.
+    /// Fan-out for the batch execution (ShardedSnapshot::QueryBatch): the
+    /// cap on threads that run one window — the window thread plus pool
+    /// workers, across every shard and phase; 0 = pool workers + 1.
     size_t num_threads = 0;
     /// Admission bound (queued, not-yet-served requests of either kind);
     /// 0 = unbounded.

@@ -52,15 +52,24 @@ std::vector<util::Neighbor> ShardedSnapshot::Query(const float* query,
 std::vector<std::vector<util::Neighbor>> ShardedSnapshot::QueryBatch(
     const float* queries, size_t num_queries, size_t k,
     size_t num_threads) const {
-  // Scatter: every shard view answers the whole batch through its own
-  // QueryBatch (cache-blocked epoch scan + parallel delta scan on the
-  // shared pool).
+  // Scatter: the shard views answer the window concurrently, one
+  // ParallelFor chunk per group of shards. Each shard's own QueryBatch
+  // phases nest inside that call and fork into the same pool team, so the
+  // window never runs on more than num_threads threads, and a thread done
+  // with its shard picks up chunks of another shard's phases. Every shard's
+  // answer is a pure function of its pinned snapshot, so the schedule
+  // cannot change a result.
   std::vector<std::vector<std::vector<util::Neighbor>>> per_shard(
       shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    per_shard[s] =
-        shards_[s].snapshot.QueryBatch(queries, num_queries, k, num_threads);
-  }
+  util::ParallelFor(
+      shards_.size(),
+      [&](size_t begin, size_t end) {
+        for (size_t s = begin; s < end; ++s) {
+          per_shard[s] = shards_[s].snapshot.QueryBatch(queries, num_queries,
+                                                        k, num_threads);
+        }
+      },
+      num_threads);
   // Gather: remap + S-way merge per query, fanned out over the pool.
   std::vector<std::vector<util::Neighbor>> results(num_queries);
   util::ParallelFor(

@@ -35,7 +35,11 @@ class ShardedSnapshot {
   std::vector<util::Neighbor> Query(const float* query, size_t k) const;
 
   /// Batched queries over the same cut; identical per row to Query by
-  /// construction.
+  /// construction. The shards answer concurrently as one fork-join tree on
+  /// the shared pool: a ParallelFor over shards whose per-shard phases nest
+  /// into the same team, so at most `num_threads` threads (0 = workers +
+  /// caller) run the window, and they balance across shards. The remap and
+  /// S-way merge per query follow as a second ParallelFor.
   std::vector<std::vector<util::Neighbor>> QueryBatch(
       const float* queries, size_t num_queries, size_t k,
       size_t num_threads = 0) const;

@@ -13,17 +13,6 @@ namespace util {
 
 namespace {
 
-// Set while a thread is executing a pool task (worker or helping caller).
-// Nested ParallelRange calls from such a thread run inline instead of
-// re-entering the pool, so nesting can never deadlock.
-thread_local bool tl_in_pool_task = false;
-
-struct ScopedInPoolTask {
-  bool previous;
-  ScopedInPoolTask() : previous(tl_in_pool_task) { tl_in_pool_task = true; }
-  ~ScopedInPoolTask() { tl_in_pool_task = previous; }
-};
-
 size_t DefaultWorkerCount() {
   const char* env = std::getenv("LCCS_POOL_WORKERS");
   if (env != nullptr && *env != '\0') {
@@ -40,6 +29,91 @@ struct ThreadPool::Worker {
   std::condition_variable cv;
   std::deque<std::function<void()>> tasks;
 };
+
+/// One forked range. Lives on the stack of the thread that forked it, which
+/// returns only once `remaining` is 0 — so no chunk outlives it. The team
+/// mutex guards `remaining` and `error`.
+struct ThreadPool::Range {
+  const std::function<void(size_t, size_t)>* fn;
+  size_t remaining;          ///< chunks queued or running
+  std::exception_ptr error;  ///< first one wins
+};
+
+/// The threads running one root range and everything nested inside it.
+/// Shared by the root caller and the join tickets it queued on the pool, so
+/// a ticket that runs after the root returned still finds a live (finished)
+/// team. One mutex guards the whole team: members are few (the root's
+/// parallelism) and chunks are coarse.
+struct ThreadPool::Team : std::enable_shared_from_this<Team> {
+  struct Chunk {
+    Range* range;
+    size_t begin, end;
+  };
+
+  explicit Team(size_t cap) : capacity(cap), deques(cap) {}
+
+  /// The calling member's newest chunk (LIFO), else a peer's oldest (FIFO).
+  bool Pop(size_t slot, Chunk* out) {
+    std::deque<Chunk>& own = deques[slot];
+    if (!own.empty()) {
+      *out = own.back();
+      own.pop_back();
+      return true;
+    }
+    for (size_t offset = 1; offset < members; ++offset) {
+      std::deque<Chunk>& peer = deques[(slot + offset) % members];
+      if (!peer.empty()) {
+        *out = peer.front();
+        peer.pop_front();
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// Runs one chunk and counts it down; `lock` (on mu) is released while
+  /// the chunk body runs and held again on return. A chunk never lets an
+  /// exception escape: it is parked in its range for the forking thread.
+  void Run(const Chunk& chunk, std::unique_lock<std::mutex>* lock) {
+    lock->unlock();
+    std::exception_ptr error;
+    try {
+      (*chunk.range->fn)(chunk.begin, chunk.end);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    lock->lock();
+    if (error && !chunk.range->error) chunk.range->error = std::move(error);
+    if (--chunk.range->remaining == 0) cv.notify_all();
+  }
+
+  /// Runs team chunks — the slot's newest first, then a peer's oldest —
+  /// until `done()` holds, sleeping only while no chunk is queued. `lock`
+  /// holds mu on entry and on return.
+  template <typename Done>
+  void RunUntil(size_t slot, std::unique_lock<std::mutex>* lock, Done done) {
+    Chunk chunk;
+    while (!done()) {
+      if (Pop(slot, &chunk)) {
+        Run(chunk, lock);
+      } else {
+        cv.wait(*lock);
+      }
+    }
+  }
+
+  std::mutex mu;
+  /// Signalled when chunks are queued, a range finishes, or the team ends.
+  std::condition_variable cv;
+  const size_t capacity;  ///< member cap: the root call's parallelism
+  size_t members = 1;     ///< slots 0..members-1 taken; the root holds 0
+  size_t tickets = 0;     ///< join tickets queued on the pool, not yet run
+  bool done = false;      ///< the root range finished; members leave
+  std::vector<std::deque<Chunk>> deques;  ///< one per member slot
+};
+
+thread_local ThreadPool::Team* ThreadPool::tl_team_ = nullptr;
+thread_local size_t ThreadPool::tl_slot_ = 0;
 
 ThreadPool& ThreadPool::Instance() {
   static ThreadPool pool(DefaultWorkerCount());
@@ -143,81 +217,78 @@ void ThreadPool::WorkerLoop(size_t index) {
 void ThreadPool::ParallelRange(size_t n, size_t parallelism,
                                const std::function<void(size_t, size_t)>& fn) {
   if (n == 0) return;
-  if (parallelism == 0) parallelism = workers_.size() + 1;  // + the caller
+  Team* const team = tl_team_;
+  if (parallelism == 0) {
+    parallelism = team != nullptr ? team->capacity : workers_.size() + 1;
+  }
   const size_t chunks = std::min(parallelism, n);
-  if (chunks <= 1 || tl_in_pool_task) {
+  if (chunks <= 1) {
     fn(0, n);
     return;
   }
+  Range range{&fn, chunks, nullptr};
+  if (team != nullptr) {
+    // Nested: fork into the enclosing team, whatever the depth.
+    ForkJoin(team, tl_slot_, &range, n, chunks);
+  } else {
+    // Root: form a team capped at `parallelism` threads (never more than
+    // the workers plus this caller could fill) and take slot 0.
+    const auto root = std::make_shared<Team>(
+        std::min(parallelism, workers_.size() + 1));
+    tl_team_ = root.get();
+    tl_slot_ = 0;
+    ForkJoin(root.get(), 0, &range, n, chunks);
+    tl_team_ = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(root->mu);
+      root->done = true;
+    }
+    root->cv.notify_all();
+  }
+  if (range.error) std::rethrow_exception(range.error);
+}
 
+void ThreadPool::ForkJoin(Team* team, size_t slot, Range* range, size_t n,
+                          size_t chunks) {
   // Balanced contiguous bounds: chunk c covers [c*n/chunks, (c+1)*n/chunks),
   // so sizes differ by at most one — no empty tail ranges when n is barely
   // above the chunk count.
   auto chunk_begin = [n, chunks](size_t c) { return c * n / chunks; };
-
-  struct State {
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t remaining;
-    std::exception_ptr error;  // first one wins
-  } state;
-  state.remaining = chunks - 1;
-
-  auto record_error = [&state](std::exception_ptr e) {
-    std::lock_guard<std::mutex> lock(state.mu);
-    if (!state.error) state.error = std::move(e);
-  };
-
-  // Chunk tasks never let an exception escape into a worker loop or a
-  // stealing caller: the error is parked in the shared state and the chunk
-  // still counts down, so the owning caller always reaches remaining == 0
-  // before unwinding (the state and fn live on its stack).
-  for (size_t c = 1; c < chunks; ++c) {
-    const size_t begin = chunk_begin(c);
-    const size_t end = chunk_begin(c + 1);
-    PushTask([&fn, &state, &record_error, begin, end] {
-      try {
-        ScopedInPoolTask guard;
-        fn(begin, end);
-      } catch (...) {
-        record_error(std::current_exception());
-      }
-      std::lock_guard<std::mutex> lock(state.mu);
-      if (--state.remaining == 0) state.cv.notify_all();
-    });
+  std::unique_lock<std::mutex> lock(team->mu);
+  std::deque<Team::Chunk>& own = team->deques[slot];
+  for (size_t c = chunks - 1; c >= 1; --c) {
+    own.push_back({range, chunk_begin(c), chunk_begin(c + 1)});
   }
-
-  // The caller takes the first chunk, then helps drain the deques until the
-  // whole range has completed — so the range finishes even if every worker
-  // is busy elsewhere (or the pool has a single worker).
-  try {
-    ScopedInPoolTask guard;
-    fn(0, chunk_begin(1));
-  } catch (...) {
-    record_error(std::current_exception());
-  }
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(state.mu);
-      if (state.remaining == 0) break;
+  // Idle members wake for the new chunks; while the team is below its cap,
+  // one join ticket per queued chunk recruits a worker.
+  const size_t recruit = std::min(
+      chunks - 1, team->capacity - team->members - team->tickets);
+  team->tickets += recruit;
+  team->cv.notify_all();
+  if (recruit > 0) {
+    lock.unlock();
+    const std::shared_ptr<Team> shared = team->shared_from_this();
+    for (size_t i = 0; i < recruit; ++i) {
+      PushTask([this, shared] { JoinTeam(shared); });
     }
-    try {
-      if (RunOneTask(0)) continue;
-    } catch (...) {
-      // A stolen foreign task (Submit) threw; our own chunks self-catch.
-      // Surface it from here rather than losing the stack.
-      record_error(std::current_exception());
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(state.mu);
-    if (state.remaining == 0) break;
-    // In-flight chunks are running on workers; wake on completion, with a
-    // timeout to re-scan for newly stealable tasks.
-    state.cv.wait_for(lock, std::chrono::milliseconds(1),
-                      [&] { return state.remaining == 0; });
-    if (state.remaining == 0) break;
+    lock.lock();
   }
-  if (state.error) std::rethrow_exception(state.error);
+  // The forking thread runs the first chunk itself, then helps until the
+  // range is done: its own newest chunks first — the rest of this range
+  // unless a peer took them — then the oldest chunk of a peer.
+  team->Run({range, 0, chunk_begin(1)}, &lock);
+  team->RunUntil(slot, &lock, [range] { return range->remaining == 0; });
+}
+
+void ThreadPool::JoinTeam(const std::shared_ptr<Team>& team) {
+  std::unique_lock<std::mutex> lock(team->mu);
+  --team->tickets;
+  if (team->done || team->members == team->capacity) return;
+  const size_t slot = team->members++;
+  tl_team_ = team.get();
+  tl_slot_ = slot;
+  team->RunUntil(slot, &lock, [&team] { return team->done; });
+  tl_team_ = nullptr;
 }
 
 void ParallelFor(size_t n, const std::function<void(size_t, size_t)>& fn,

@@ -324,6 +324,44 @@ TEST(QueryBatchTest, CoreSchemesBitIdenticalAcrossMatrix) {
   std::remove(flat_path.c_str());
 }
 
+// A batch whose window buffers would outgrow LccsLsh's scratch budget runs
+// as several consecutive windows (600 queries × 800 candidates here is
+// about 11 MB against a 4 MB budget); every row must still match its solo
+// Query.
+TEST(QueryBatchTest, BulkBatchRunAsSeveralWindowsIsBitIdentical) {
+  const auto data = SmallClusters(util::Metric::kEuclidean, 131);
+  core::LccsLsh scheme(lsh::MakeFamily(lsh::FamilyKind::kRandomProjection,
+                                       data.dim(), 32, 8.0, 2024),
+                       data.metric);
+  scheme.Build(data.data.store());
+  std::vector<uint8_t> deleted(data.n(), 0);
+  for (size_t i = 0; i < deleted.size(); i += 7) deleted[i] = 1;
+  scheme.set_deleted_filter(&deleted);
+
+  constexpr size_t kBulk = 600;
+  util::Rng rng(7);
+  std::vector<float> queries(kBulk * data.dim());
+  rng.FillGaussian(queries.data(), queries.size());
+  for (size_t q = 0; q < kBulk; ++q) {
+    const float* row = data.data.Row((q * 37) % data.n());
+    for (size_t j = 0; j < data.dim(); ++j) {
+      queries[q * data.dim() + j] += row[j];
+    }
+  }
+  const size_t k = 10;
+  const size_t lambda = 800;
+  for (const size_t threads : {size_t{1}, size_t{3}}) {
+    const auto batched =
+        scheme.QueryBatch(queries.data(), kBulk, k, lambda, threads);
+    ASSERT_EQ(batched.size(), kBulk);
+    for (size_t q = 0; q < kBulk; ++q) {
+      EXPECT_EQ(batched[q],
+                scheme.Query(queries.data() + q * data.dim(), k, lambda))
+          << "query " << q << " threads " << threads;
+    }
+  }
+}
+
 // Seeded shrinking property: the union-dedup gather must never drop a
 // candidate any member query would have verified alone. A dropped candidate
 // that belonged in a query's top k would make that query's batched answer

@@ -36,6 +36,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -45,6 +46,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -330,7 +332,16 @@ TEST(Replication, BootstrapAndLiveTail) {
   const ShardedSnapshot snapshot = replica.AcquireSnapshot();
   EXPECT_EQ(snapshot.state_version(), 110u);
 
-  // Primary-side observability mirrors into Server::Stats.
+  // Primary-side observability mirrors into Server::Stats. The shipper
+  // counts a batch only after its last frame is on the wire, so the
+  // follower can apply version 110 before the counters move: wait for them
+  // (they must still reach exactly 110 and 50 below).
+  const auto stats_deadline = std::chrono::steady_clock::now() +
+                              std::chrono::microseconds(kWaitUs);
+  while (shipper.stats().shipped_version < 110u &&
+         std::chrono::steady_clock::now() < stats_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   Server::Options server_options;
   server_options.wal = &wal;
   server_options.shipper = &shipper;

@@ -4,7 +4,9 @@
 // scheduler (MaintainShards policy over DynamicIndex::stats snapshots).
 //
 // Shard configurations run in exhaustive-verification mode where oracle
-// identity is asserted, exactly like tests/test_dynamic_index.cc.
+// identity is asserted, exactly like tests/test_dynamic_index.cc; the
+// batch-vs-query identity is also checked in approximate mode across
+// fan-out schedules.
 
 #include <algorithm>
 #include <cstdio>
@@ -272,6 +274,72 @@ TEST(ShardedIndexBatch, BatchIdenticalToSequentialQueries) {
     for (size_t q = 0; q < data.num_queries(); ++q) {
       EXPECT_EQ(batched[q], index.Query(data.queries.Row(q), 7))
           << "threads " << threads << " query " << q;
+    }
+  }
+}
+
+// The shards of a window answer concurrently, and their per-shard phases
+// fork into one pool team, so every fan-out schedule must leave the answer
+// untouched. This is checked independently of QueryBatch itself: against
+// per-query ShardedSnapshot::Query on the same cut, in an approximate
+// (λ = 40) configuration where any mix-up of candidates or shards would
+// show — float and int8-pruned verification, 1 to 8 shards, windows of 1,
+// 2, 3 and 64 queries, and fan-outs of 1, 2, 3 and all pool threads, with
+// delta rows and tombstones present.
+TEST(ShardedIndexBatch, ApproximateBatchMatchesQueryAcrossFanOutSchedules) {
+  baselines::LccsLshIndex::Params params;
+  params.m = 24;
+  params.lambda = 40;  // approximate mode
+  params.w = 8.0;
+  const auto factory = [params] {
+    return std::make_unique<baselines::LccsLshIndex>(params);
+  };
+  constexpr size_t kQueries = 64;
+  constexpr size_t kK = 5;
+  const auto data = MakeData(800, 29, kQueries);
+
+  for (const bool quantize : {false, true}) {
+    for (const size_t shards : {size_t{1}, size_t{3}, size_t{4}, size_t{8}}) {
+      ShardedIndex::Options options;
+      options.num_shards = shards;
+      options.quantize = quantize;
+      ShardedIndex index(factory, options);
+      index.Build(data);
+      util::Rng rng(37);
+      std::vector<int32_t> inserted;
+      for (int i = 0; i < 120; ++i) {
+        const auto vec = RandomVector(rng);
+        inserted.push_back(index.Insert(vec.data()));
+      }
+      for (int32_t id = 0; id < 800; id += 9) ASSERT_TRUE(index.Remove(id));
+      for (size_t i = 0; i < inserted.size(); i += 5) {
+        ASSERT_TRUE(index.Remove(inserted[i]));
+      }
+
+      const ShardedSnapshot snapshot = index.AcquireSnapshot();
+      std::vector<std::vector<util::Neighbor>> want(kQueries);
+      for (size_t q = 0; q < kQueries; ++q) {
+        want[q] = snapshot.Query(data.queries.Row(q), kK);
+        ASSERT_EQ(want[q].size(), kK);
+      }
+      for (const size_t threads :
+           {size_t{1}, size_t{2}, size_t{3}, size_t{0}}) {
+        for (const size_t window :
+             {size_t{1}, size_t{2}, size_t{3}, size_t{64}}) {
+          for (size_t begin = 0; begin < kQueries; begin += window) {
+            const size_t len = std::min(window, kQueries - begin);
+            const auto got = snapshot.QueryBatch(data.queries.Row(begin), len,
+                                                 kK, threads);
+            ASSERT_EQ(got.size(), len);
+            for (size_t i = 0; i < len; ++i) {
+              EXPECT_EQ(got[i], want[begin + i])
+                  << "quantize " << quantize << " shards " << shards
+                  << " threads " << threads << " window " << window
+                  << " query " << begin + i;
+            }
+          }
+        }
+      }
     }
   }
 }

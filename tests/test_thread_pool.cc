@@ -2,7 +2,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <memory>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -117,18 +120,182 @@ TEST(ThreadPoolTest, SubmitRunsFireAndForgetTasks) {
   EXPECT_EQ(done.load(), kTasks);
 }
 
-TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
-  constexpr size_t kOuter = 8;
-  constexpr size_t kInner = 100;
+TEST(ThreadPoolTest, DepthThreeNestingCoversEveryIndexOnce) {
+  constexpr size_t kOuter = 6;
+  constexpr size_t kMiddle = 8;
+  constexpr size_t kInner = 50;
+  std::vector<std::atomic<int>> hits(kOuter * kMiddle * kInner);
+  ParallelFor(
+      kOuter,
+      [&](size_t ob, size_t oe) {
+        for (size_t o = ob; o < oe; ++o) {
+          ParallelFor(kMiddle, [&, o](size_t mb, size_t me) {
+            for (size_t m = mb; m < me; ++m) {
+              ParallelFor(
+                  kInner,
+                  [&, o, m](size_t ib, size_t ie) {
+                    for (size_t i = ib; i < ie; ++i) {
+                      hits[(o * kMiddle + m) * kInner + i].fetch_add(1);
+                    }
+                  },
+                  4);
+            }
+          });
+        }
+      },
+      3);
+  for (size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ThreadPoolTest, RootParallelismCapsThreadsAcrossNestedChunks) {
+  // Every chunk of the root range and of the ranges nested in it — even
+  // nested calls asking for more chunks than the root's parallelism — runs
+  // on at most `parallelism` distinct threads. The chunks sleep briefly so
+  // idle threads have every chance to steal.
+  for (const size_t parallelism : {size_t{2}, size_t{3}}) {
+    std::mutex mu;
+    std::set<std::thread::id> threads;
+    auto record = [&] {
+      std::lock_guard<std::mutex> lock(mu);
+      threads.insert(std::this_thread::get_id());
+    };
+    std::atomic<size_t> leaves{0};
+    ParallelFor(
+        4,
+        [&](size_t ob, size_t oe) {
+          record();
+          for (size_t o = ob; o < oe; ++o) {
+            ParallelFor(
+                6,
+                [&](size_t mb, size_t me) {
+                  record();
+                  for (size_t m = mb; m < me; ++m) {
+                    ParallelFor(
+                        8,
+                        [&](size_t ib, size_t ie) {
+                          record();
+                          std::this_thread::sleep_for(
+                              std::chrono::microseconds(200));
+                          leaves.fetch_add(ie - ib);
+                        },
+                        0);
+                  }
+                },
+                8);
+          }
+        },
+        parallelism);
+    EXPECT_EQ(leaves.load(), 4u * 6u * 8u);
+    EXPECT_GE(threads.size(), 1u);
+    EXPECT_LE(threads.size(), parallelism) << "parallelism " << parallelism;
+  }
+}
+
+TEST(ThreadPoolTest, NestedExceptionReachesRootAfterEveryChunkFinished) {
+  constexpr size_t kOuter = 4;
+  constexpr size_t kInner = 8;
+  std::atomic<size_t> finished{0};
+  size_t finished_at_catch = 0;
+  try {
+    ParallelFor(
+        kOuter,
+        [&](size_t ob, size_t oe) {
+          for (size_t o = ob; o < oe; ++o) {
+            ParallelFor(
+                kInner,
+                [&, o](size_t ib, size_t ie) {
+                  for (size_t i = ib; i < ie; ++i) {
+                    if (o == 1 && i == 0) {
+                      finished.fetch_add(1);
+                      throw std::runtime_error("nested chunk failed");
+                    }
+                    // Siblings outlast the throw, so an early rethrow would
+                    // be caught with chunks still running.
+                    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                    finished.fetch_add(1);
+                  }
+                },
+                kInner);
+          }
+        },
+        3);
+    ADD_FAILURE() << "the nested exception did not reach the root caller";
+  } catch (const std::runtime_error& e) {
+    finished_at_catch = finished.load();
+    EXPECT_STREQ(e.what(), "nested chunk failed");
+  }
+  EXPECT_EQ(finished_at_catch, kOuter * kInner);
+  // The pool stays usable afterwards.
   std::atomic<size_t> total{0};
-  ParallelFor(kOuter, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      ParallelFor(kInner, [&](size_t b, size_t e) {
-        total.fetch_add(e - b);
-      });
-    }
+  ParallelFor(64, [&](size_t begin, size_t end) {
+    total.fetch_add(end - begin);
   });
-  EXPECT_EQ(total.load(), kOuter * kInner);
+  EXPECT_EQ(total.load(), 64u);
+}
+
+TEST(ThreadPoolTest, NestedParallelForInSubmittedTaskFinishesWithWorkersBusy) {
+  // Every other worker is parked in a blocking task, so the nested ranges
+  // of the last task can recruit nobody: its thread must run them alone.
+  ThreadPool& pool = ThreadPool::Instance();
+  const size_t blockers = pool.num_workers() - 1;
+  struct Shared {
+    std::mutex mu;
+    std::condition_variable cv;
+    size_t started = 0;
+    size_t exited = 0;
+    bool release = false;
+    bool done = false;
+    size_t total = 0;
+  };
+  const auto shared = std::make_shared<Shared>();
+  const auto deadline = [] {
+    return std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  };
+  for (size_t b = 0; b < blockers; ++b) {
+    pool.Submit([shared, deadline] {
+      std::unique_lock<std::mutex> lock(shared->mu);
+      ++shared->started;
+      shared->cv.notify_all();
+      shared->cv.wait_until(lock, deadline(), [&] { return shared->release; });
+      ++shared->exited;
+      shared->cv.notify_all();
+    });
+  }
+  pool.Submit([shared, deadline, blockers] {
+    {
+      std::unique_lock<std::mutex> lock(shared->mu);
+      shared->cv.wait_until(lock, deadline(),
+                            [&] { return shared->started == blockers; });
+    }
+    std::atomic<size_t> total{0};
+    ParallelFor(
+        8,
+        [&](size_t ob, size_t oe) {
+          for (size_t o = ob; o < oe; ++o) {
+            ParallelFor(16, [&](size_t ib, size_t ie) {
+              total.fetch_add(ie - ib);
+            });
+          }
+        },
+        0);
+    std::lock_guard<std::mutex> lock(shared->mu);
+    shared->total = total.load();
+    shared->done = true;
+    shared->cv.notify_all();
+  });
+  std::unique_lock<std::mutex> lock(shared->mu);
+  const bool finished =
+      shared->cv.wait_until(lock, deadline(), [&] { return shared->done; });
+  const bool all_busy = shared->started == blockers;
+  shared->release = true;
+  shared->cv.notify_all();
+  shared->cv.wait_until(lock, deadline(),
+                        [&] { return shared->exited == blockers; });
+  EXPECT_TRUE(all_busy);
+  ASSERT_TRUE(finished) << "nested ParallelFor stalled with every worker busy";
+  EXPECT_EQ(shared->total, 8u * 16u);
 }
 
 TEST(ThreadPoolTest, ConcurrentParallelForFromExternalThreads) {
