@@ -781,9 +781,8 @@ void DynamicIndex::SerializeState(std::ostream& out, const EpochWriter& writer,
     // Quantized tier: only the codebook is persisted — codes are a pure
     // function of (floats, codebook) and re-encode deterministically at
     // load, so the save stays small and a corrupt-code class of failures
-    // cannot exist. QuantizedShared (not ActiveQuantized) on purpose: the
-    // attachment is state; the LCCS_QUANTIZED escape hatch is serving
-    // policy and must not silently strip saves.
+    // cannot exist. The attachment is the quantized tier's whole state:
+    // codes attached means int8 scoring is on.
     std::shared_ptr<const storage::QuantizedStore> quantized =
         epoch_->data.data.store() != nullptr
             ? epoch_->data.data.store()->QuantizedShared()

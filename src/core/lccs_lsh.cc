@@ -18,11 +18,12 @@ namespace {
 /// store's quantized sibling (heap-resident int8 codes — no disk faults) and
 /// keeps the best k' = RerankKeep(k) ids, returned ascending so the exact
 /// rerank scores them in a deterministic order. Returns false — caller runs
-/// the classic exact-only path — when no quantized tier is active or the
-/// live candidate list is not larger than k' (then pruning could only drop
-/// candidates the exact pass would have scored anyway, so the quantized and
-/// exact paths degenerate to the same verification). `live` and `scores`
-/// are the caller's reusable buffers; their contents are overwritten.
+/// the classic exact-only path — when the store carries no codes for
+/// `metric` or the live candidate list is not larger than k' (then pruning
+/// could only drop candidates the exact pass would have scored anyway, so
+/// the quantized and exact paths degenerate to the same verification).
+/// `pruned`, `live` and `scores` are the caller's reusable buffers; their
+/// contents are overwritten.
 bool QuantizedPrune(const storage::VectorStore& store, util::Metric metric,
                     const float* query,
                     const std::vector<LccsCandidate>& cands,
@@ -120,9 +121,11 @@ struct WindowBuffers {
   std::vector<int32_t> blocked_slots;
   std::vector<double> dists;
   std::vector<int32_t> block_off;
+  std::vector<uint8_t> gather;
 
   size_t Bytes() const {
     size_t bytes = CapacityBytes(hashes) + CapacityBytes(cands) +
+                   CapacityBytes(gather) +
                    CapacityBytes(offsets) + CapacityBytes(in_union) +
                    CapacityBytes(union_ids) + CapacityBytes(blocked_ids) +
                    CapacityBytes(blocked_slots) + CapacityBytes(dists) +
@@ -132,12 +135,17 @@ struct WindowBuffers {
   }
 };
 
-/// One prune chunk's buffers (QuantizedPrune's live list and scores).
+/// One exact-stage chunk's buffers (QuantizedPrune's survivors, live list
+/// and scores; the live list doubles as the in-place verify's id list).
 struct PruneBuffers {
+  std::vector<int32_t> pruned;
   std::vector<int32_t> live;
   std::vector<float> scores;
 
-  size_t Bytes() const { return CapacityBytes(live) + CapacityBytes(scores); }
+  size_t Bytes() const {
+    return CapacityBytes(pruned) + CapacityBytes(live) +
+           CapacityBytes(scores);
+  }
 };
 
 }  // namespace
@@ -230,32 +238,9 @@ std::vector<LccsCandidate> LccsLsh::Candidates(const float* query,
 std::vector<util::Neighbor> LccsLsh::Query(const float* query, size_t k,
                                            size_t lambda) const {
   assert(store_ != nullptr);
-  const std::unique_ptr<QueryScratch> scratch = MakeScratch();
-  scratch->hash.resize(family_->num_functions());
-  family_->Hash(query, scratch->hash.data());
-  std::vector<LccsCandidate> candidates;
-  AppendCandidates(query, scratch->hash.data(), CandidateBudget(k, lambda),
-                   scratch.get(), &candidates);
-  std::vector<int32_t> ids;
-  std::vector<int32_t> live;
-  std::vector<float> scores;
-  if (QuantizedPrune(*store_, metric_, query, candidates, deleted_rows(), k,
-                     &ids, &live, &scores)) {
-    // Two-phase path: only the k' survivors' exact rows are touched — in
-    // place for heap stores, via a copy gather for budget-mapped ones. The
-    // pruned list is already tombstone-filtered.
-    util::TopK topk(k);
-    storage::ExactRerank(*store_, metric_, query, ids.data(), ids.size(),
-                         topk);
-    return topk.Sorted();
-  }
-  ids.reserve(candidates.size());
-  for (const LccsCandidate& c : candidates) ids.push_back(c.id);
-  store_->PrefetchRows(ids.data(), ids.size());
-  util::TopK topk(k);
-  util::VerifyCandidates(metric_, store_->data(), d_, query, ids.data(),
-                         ids.size(), topk, /*first_id=*/0, deleted_rows());
-  return topk.Sorted();
+  std::vector<util::Neighbor> result;
+  QueryWindow(query, 1, k, lambda, /*num_threads=*/1, &result);
+  return result;
 }
 
 std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
@@ -304,8 +289,8 @@ void LccsLsh::QueryWindow(const float* queries, size_t num_queries, size_t k,
   // the pop loop is a dependent chain of random hash-row reads, and
   // interleaving keeps kInterleave misses in flight where a solo drain has
   // one. Per query the iterations are identical, so each query's list still
-  // preserves the sequential surfacing order — that order is replayed in
-  // phase 5, so TopK tie-breaking matches per-query Query.
+  // preserves the solo surfacing order — the order phases 3 and 6 offer
+  // candidates to TopK in, so tie-breaking never depends on the window.
   constexpr size_t kInterleave = 8;
   std::vector<std::vector<LccsCandidate>>& cands = window->cands;
   if (cands.size() < num_queries) cands.resize(num_queries);
@@ -334,38 +319,56 @@ void LccsLsh::QueryWindow(const float* queries, size_t num_queries, size_t k,
       },
       num_threads);
 
-  // Phase 2.5: quantized first-pass prune. When the store carries an active
-  // quantized sibling, each query's candidate list is rewritten to its k'
-  // survivors (ascending ids, tombstones already dropped) before the exact
-  // phases — so the blocked gather below faults only survivor rows, exactly
-  // like the per-query two-phase path. The rewrite preserves the
-  // Query ≡ QueryBatch identity: both paths verify the same pruned set in
-  // the same ascending order.
+  // Phase 3: the exact stage every query can run alone. A query whose
+  // candidates the int8 pass pruned reranks its k' survivors through
+  // storage::ExactRerank: a copy gather on stores that prefer one (a
+  // budgeted mmap store, whose mapping and residency clock it leaves
+  // untouched), in place elsewhere. A window of one query verifies its
+  // candidates in place, tombstones filtered. Only the unpruned queries of
+  // a larger window are left for the shared gather of phases 4-6, which
+  // pays off only when the window has rows to share.
+  std::vector<uint8_t>& gather = window->gather;
+  gather.assign(num_queries, 0);
   util::ParallelFor(
       num_queries,
       [&](size_t begin, size_t end) {
         const ScratchLease<PruneBuffers> prune;
-        std::vector<int32_t> pruned;
         for (size_t q = begin; q < end; ++q) {
-          if (!QuantizedPrune(*store_, metric_, queries + q * d_, cands[q],
-                              deleted, k, &pruned, &prune->live,
-                              &prune->scores)) {
+          const float* query = queries + q * d_;
+          const bool pruned =
+              QuantizedPrune(*store_, metric_, query, cands[q], deleted, k,
+                             &prune->pruned, &prune->live, &prune->scores);
+          if (!pruned && num_queries > 1) {
+            gather[q] = 1;
             continue;
           }
-          cands[q].resize(pruned.size());
-          for (size_t i = 0; i < pruned.size(); ++i) {
-            cands[q][i] = LccsCandidate{pruned[i], 0};
+          util::TopK topk(k);
+          if (pruned) {
+            storage::ExactRerank(*store_, metric_, query,
+                                 prune->pruned.data(), prune->pruned.size(),
+                                 topk);
+          } else {
+            std::vector<int32_t>& ids = prune->live;
+            ids.clear();
+            for (const LccsCandidate& c : cands[q]) ids.push_back(c.id);
+            store_->PrefetchRows(ids.data(), ids.size());
+            util::VerifyCandidates(metric_, store_->data(), d_, query,
+                                   ids.data(), ids.size(), topk,
+                                   /*first_id=*/0, deleted);
           }
+          results[q] = topk.Sorted();
+          cands[q].clear();  // answered: adds nothing to the shared gather
         }
       },
       num_threads);
+  if (std::find(gather.begin(), gather.end(), 1) == gather.end()) return;
 
-  // Phase 3: dedup the union of live candidate ids across the window and
+  // Phase 4: dedup the union of live candidate ids across the window and
   // advise the store once — an mmap-resident base set faults each candidate
   // page once per window instead of once per query. Each query's live
   // candidates are then counting-sorted into cache-block-major order
   // (block = id / rows_per_block over the id space): O(candidates) per
-  // query, and phase 4 reads each (query, block) run straight from the
+  // query, and phase 5 reads each (query, block) run straight from the
   // precomputed offsets instead of binary-searching a sorted id list.
   const size_t row_bytes = d_ * sizeof(float) > 0 ? d_ * sizeof(float) : 1;
   const size_t rows_per_block =
@@ -421,7 +424,7 @@ void LccsLsh::QueryWindow(const float* queries, size_t num_queries, size_t k,
   std::sort(union_ids.begin(), union_ids.end());
   store_->PrefetchRows(union_ids.data(), union_ids.size());
 
-  // Phase 4: blocked verification gather. Rows are scored block-by-block so
+  // Phase 5: blocked verification gather. Rows are scored block-by-block so
   // a row shared by several queries in the window is pulled into cache once
   // and reused; distances land at the candidate's original slot. The SIMD
   // kernels are bit-identical regardless of row grouping, so this changes
@@ -445,13 +448,14 @@ void LccsLsh::QueryWindow(const float* queries, size_t num_queries, size_t k,
       },
       num_threads);
 
-  // Phase 5: replay each query's TopK pushes in the original candidate
-  // order, skipping tombstoned rows — exactly the push sequence
-  // VerifyCandidates would have produced for the per-query path.
+  // Phase 6: replay each gathered query's TopK pushes in the original
+  // candidate order, skipping tombstoned rows — exactly the push sequence
+  // VerifyCandidates produces for the same query in a window of one.
   util::ParallelFor(
       num_queries,
       [&](size_t begin, size_t end) {
         for (size_t q = begin; q < end; ++q) {
+          if (!gather[q]) continue;
           util::TopK topk(k);
           const std::vector<LccsCandidate>& list = cands[q];
           for (size_t s = 0; s < list.size(); ++s) {

@@ -48,21 +48,27 @@ class LccsLsh {
   /// of H(q) — plus one extra per tombstoned row when a deleted filter is
   /// installed, so heavy deletion can never starve the answer below k while
   /// live rows exist — and returns the k nearest by true distance
-  /// (ascending). Dispatches through AppendCandidates, so MpLccsLsh reuses
-  /// this body with its multi-probe candidate generation.
+  /// (ascending). A query is a QueryBatch window of one, run on the calling
+  /// thread; MpLccsLsh inherits it with its multi-probe PrepareSearch.
   std::vector<util::Neighbor> Query(const float* query, size_t k,
                                     size_t lambda) const;
 
-  /// Cross-query batched form of Query: answers `num_queries` queries stored
-  /// row-major and contiguously (dim() floats each), bit-identical per row
-  /// to Query. The window is processed in shared passes — one ParallelFor
-  /// hashing sweep, per-thread reusable search scratch for the CSA walks,
-  /// and one deduplicated PrefetchRows + cache-blocked verification gather
-  /// over the union of candidate rows, scattering distances back into each
-  /// query's TopK in its original candidate order (which is what keeps
-  /// tie-breaking, and therefore results, bit-identical). The window
-  /// buffers are reused across calls; a batch too large for their fixed
-  /// byte budget runs as consecutive windows that fit it.
+  /// Answers `num_queries` queries stored row-major and contiguously
+  /// (dim() floats each); row q's answer does not depend on the other rows.
+  /// The window is processed in shared passes — one ParallelFor hashing
+  /// sweep, per-thread reusable search scratch for the CSA walks — and then
+  /// one exact-stage rule decides how candidates meet the exact rows:
+  ///   - a query whose candidates the store's int8 codes pruned reranks its
+  ///     k' = storage::RerankKeep(k) survivors alone through
+  ///     storage::ExactRerank (a copy gather on PrefersCopyGather stores);
+  ///   - a window of one query verifies its candidates alone, in place;
+  ///   - the unpruned queries of a larger window share one deduplicated
+  ///     PrefetchRows + cache-blocked verification gather over the union of
+  ///     their candidate rows, scattering distances back into each query's
+  ///     TopK in its original candidate order (so tie-breaking, and
+  ///     therefore results, match the window of one).
+  /// The window buffers are reused across calls; a batch too large for
+  /// their fixed byte budget runs as consecutive windows that fit it.
   std::vector<std::vector<util::Neighbor>> QueryBatch(const float* queries,
                                                       size_t num_queries,
                                                       size_t k, size_t lambda,
@@ -128,7 +134,6 @@ class LccsLsh {
   /// shared across threads.
   struct QueryScratch {
     CircularShiftArray::SearchScratch csa;
-    std::vector<HashValue> hash;  ///< H(q) buffer for the sequential path
     /// Probe strings feeding the heap, set by PrepareSearch (one entry —
     /// the unperturbed hash — for the base scheme). Must stay valid until
     /// the collect phase finishes.
@@ -142,16 +147,16 @@ class LccsLsh {
   /// the perturbed probes of Section 4.2), and records the probe string
   /// pointers in scratch->probe_ptrs. Splitting here lets QueryBatch prepare
   /// several queries and drain their heaps interleaved
-  /// (CollectFromHeapInterleaved) while the sequential path drains solo —
+  /// (CollectFromHeapInterleaved) while AppendCandidates drains one solo —
   /// both run the identical per-query pop iteration.
   virtual void PrepareSearch(const float* query, const HashValue* hash,
                              QueryScratch* scratch) const;
 
   /// Appends up to `count` LCCS candidates of the query (whose hash string
-  /// `hash` is already computed) to `out`, in the exact order the sequential
-  /// search surfaces them: PrepareSearch followed by a solo CollectFromHeap.
-  /// Both Query and QueryBatch funnel through PrepareSearch, which is what
-  /// makes the batched path identical-by-construction to the sequential one.
+  /// `hash` is already computed) to `out`, in the order the query's search
+  /// surfaces them: PrepareSearch followed by a solo CollectFromHeap
+  /// (MpLccsLsh::Candidates' path; QueryBatch drains the same iteration
+  /// interleaved).
   void AppendCandidates(const float* query, const HashValue* hash,
                         size_t count, QueryScratch* scratch,
                         std::vector<LccsCandidate>* out) const;
@@ -163,8 +168,9 @@ class LccsLsh {
     return lambda + (k > 0 ? k - 1 : 0) + deleted_count_;
   }
 
-  /// QueryBatch's body for one window of queries: answers rows
-  /// [0, num_queries) of `queries` into results[0, num_queries).
+  /// QueryBatch's body for one window of queries (Query's, with one query):
+  /// answers rows [0, num_queries) of `queries` into
+  /// results[0, num_queries).
   void QueryWindow(const float* queries, size_t num_queries, size_t k,
                    size_t lambda, size_t num_threads,
                    std::vector<util::Neighbor>* results) const;

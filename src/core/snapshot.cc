@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <utility>
 
 #include "util/simd_distance.h"
 #include "util/thread_pool.h"
@@ -47,35 +48,17 @@ std::vector<util::Neighbor> Snapshot::FilterEpoch(
   return stat;
 }
 
-std::vector<util::Neighbor> Snapshot::QueryDelta(const float* query,
-                                                 size_t k) const {
-  if (delta_len_ == 0 || k == 0) return {};
-  // Gather the slots live at version_ and verify them in one batched SIMD
-  // pass. Candidates are offered in slot (= insert) order, matching the
-  // tie-breaking of the bitmap-filtered scan this replaces.
-  std::vector<int32_t> cand;
-  cand.reserve(delta_len_);
-  for (size_t s = 0; s < delta_len_; ++s) {
-    const uint64_t stamp =
-        delta_->deleted_at[s].load(std::memory_order_relaxed);
-    if (stamp == 0 || stamp > version_) {
-      cand.push_back(static_cast<int32_t>(s));
-    }
-  }
-  return QueryDelta(query, k, cand);
-}
-
 std::vector<util::Neighbor> Snapshot::QueryDelta(
     const float* query, size_t k, const std::vector<int32_t>& live) const {
   if (live.empty() || k == 0) return {};
-  util::TopK topk(k);
+  // Quantized first pass over the delta codes, mirroring the epoch-side
+  // two-phase verification: the pruned slots come back ascending, the
+  // order the exact pass below offers them in — same as the unpruned
+  // path, since `live` is ascending too.
   const size_t keep = storage::RerankKeep(k);
-  if (delta_->codebook != nullptr && live.size() > keep &&
-      storage::QuantizedServingEnabled()) {
-    // Quantized first pass over the delta codes, mirroring the epoch-side
-    // two-phase verification: the pruned slots come back ascending, the
-    // order the exact pass below offers them in — same as the unpruned
-    // path, since `live` is ascending too.
+  std::vector<int32_t> pruned;
+  const std::vector<int32_t>* slots = &live;
+  if (delta_->codebook != nullptr && live.size() > keep) {
     const storage::QuantizedStore& qs = *delta_->codebook;
     const storage::QuantizedStore::PreparedQuery pq = qs.Prepare(query);
     storage::RerankSelector selector(keep);
@@ -85,15 +68,12 @@ std::vector<util::Neighbor> Snapshot::QueryDelta(
                         delta_->terms[static_cast<size_t>(slot)]);
       selector.Offer(score, slot);
     }
-    const std::vector<int32_t> pruned = selector.TakeAscendingIds();
-    util::VerifyCandidates(metric_, delta_->rows.get(), dim_, query,
-                           pruned.data(), pruned.size(), topk);
-    std::vector<util::Neighbor> result = topk.Sorted();
-    for (util::Neighbor& nb : result) nb.id = delta_->ids[nb.id];
-    return result;
+    pruned = selector.TakeAscendingIds();
+    slots = &pruned;
   }
+  util::TopK topk(k);
   util::VerifyCandidates(metric_, delta_->rows.get(), dim_, query,
-                         live.data(), live.size(), topk);
+                         slots->data(), slots->size(), topk);
   std::vector<util::Neighbor> result = topk.Sorted();
   // Slot -> global id, again monotone.
   for (util::Neighbor& nb : result) nb.id = delta_->ids[nb.id];
@@ -102,22 +82,7 @@ std::vector<util::Neighbor> Snapshot::QueryDelta(
 
 std::vector<util::Neighbor> Snapshot::Query(const float* query,
                                             size_t k) const {
-  if (k == 0) return {};
-  std::vector<util::Neighbor> stat;
-  if (epoch_ != nullptr && epoch_->index != nullptr) {
-    // Over-fetch by the number of epoch rows stamped at acquisition: the
-    // wrapped index filters only the frozen base bitmap, so at most
-    // epoch_overfetch_ of its answers can be stamped away below — k
-    // survivors always remain when they exist.
-    stat = FilterEpoch(epoch_->index->Query(query, k + epoch_overfetch_), k);
-  }
-  std::vector<util::Neighbor> delta = QueryDelta(query, k);
-  std::vector<util::Neighbor> merged;
-  merged.reserve(std::min(k, stat.size() + delta.size()));
-  std::merge(stat.begin(), stat.end(), delta.begin(), delta.end(),
-             std::back_inserter(merged));
-  if (merged.size() > k) merged.resize(k);
-  return merged;
+  return std::move(QueryBatch(query, 1, k, /*num_threads=*/1).front());
 }
 
 std::vector<std::vector<util::Neighbor>> Snapshot::QueryBatch(
@@ -127,7 +92,10 @@ std::vector<std::vector<util::Neighbor>> Snapshot::QueryBatch(
   if (k == 0 || num_queries == 0) return results;
   // The static epoch answers the whole batch through its own QueryBatch
   // (cache-blocked / parallel); filtering and the delta scan run per query
-  // in parallel, identical to per-row Query by construction.
+  // in parallel. Over-fetch by the number of epoch rows stamped at
+  // acquisition: the wrapped index filters only the frozen base bitmap, so
+  // at most epoch_overfetch_ of its answers can be stamped away below — k
+  // survivors always remain when they exist.
   std::vector<std::vector<util::Neighbor>> stat(num_queries);
   if (epoch_ != nullptr && epoch_->index != nullptr) {
     stat = epoch_->index->QueryBatch(queries, num_queries,

@@ -93,10 +93,11 @@ class Snapshot {
  public:
   Snapshot() = default;
 
-  /// k nearest surviving neighbors at version(), global ids.
+  /// k nearest surviving neighbors at version(), global ids: QueryBatch
+  /// over one query, on the calling thread.
   std::vector<util::Neighbor> Query(const float* query, size_t k) const;
 
-  /// Batched queries, identical per row to Query by construction.
+  /// Batched queries; row q's answer does not depend on the other rows.
   std::vector<std::vector<util::Neighbor>> QueryBatch(
       const float* queries, size_t num_queries, size_t k,
       size_t num_threads = 0) const;
@@ -116,11 +117,9 @@ class Snapshot {
   std::vector<util::Neighbor> FilterEpoch(std::vector<util::Neighbor> stat,
                                           size_t k) const;
   /// Brute-force top-k over the live pinned delta prefix, global ids.
-  std::vector<util::Neighbor> QueryDelta(const float* query, size_t k) const;
-  /// Same, over a precomputed live-slot list — QueryBatch gathers the slots
-  /// surviving at version() once and reuses them for every query in the
-  /// window (the stamps cannot change retroactively for a pinned version,
-  /// so the list is identical to what each per-query gather would build).
+  /// `live` lists the slots surviving at version(), ascending — QueryBatch
+  /// gathers it once per window (the stamps cannot change retroactively for
+  /// a pinned version).
   std::vector<util::Neighbor> QueryDelta(const float* query, size_t k,
                                          const std::vector<int32_t>& live)
       const;

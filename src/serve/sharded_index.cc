@@ -36,17 +36,7 @@ size_t ShardedIndex::ShardOf(int32_t id, size_t num_shards) {
 
 std::vector<util::Neighbor> ShardedSnapshot::Query(const float* query,
                                                    size_t k) const {
-  std::vector<std::vector<util::Neighbor>> per_shard(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    per_shard[s] = shards_[s].snapshot.Query(query, k);
-    // Local -> global is monotone (ascending within a shard), so each list
-    // stays sorted by (distance, global id) after the remap.
-    const std::vector<int32_t>& map = *shards_[s].local_to_global;
-    for (util::Neighbor& nb : per_shard[s]) {
-      nb.id = map[static_cast<size_t>(nb.id)];
-    }
-  }
-  return util::MergeSortedTopK(per_shard, k);
+  return std::move(QueryBatch(query, 1, k, /*num_threads=*/1).front());
 }
 
 std::vector<std::vector<util::Neighbor>> ShardedSnapshot::QueryBatch(
@@ -70,7 +60,9 @@ std::vector<std::vector<util::Neighbor>> ShardedSnapshot::QueryBatch(
         }
       },
       num_threads);
-  // Gather: remap + S-way merge per query, fanned out over the pool.
+  // Gather: remap + S-way merge per query, fanned out over the pool. Local
+  // -> global is monotone (ascending within a shard), so each list stays
+  // sorted by (distance, global id) after the remap.
   std::vector<std::vector<util::Neighbor>> results(num_queries);
   util::ParallelFor(
       num_queries,

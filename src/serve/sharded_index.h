@@ -31,11 +31,12 @@ class ShardedSnapshot {
 
   /// k nearest surviving neighbors at state_version(), global ids: each
   /// shard view answers for k, results are remapped and S-way merged —
-  /// identical to ShardedIndex::Query at the acquisition point.
+  /// identical to ShardedIndex::Query at the acquisition point. QueryBatch
+  /// over one query, on the calling thread.
   std::vector<util::Neighbor> Query(const float* query, size_t k) const;
 
-  /// Batched queries over the same cut; identical per row to Query by
-  /// construction. The shards answer concurrently as one fork-join tree on
+  /// Batched queries over the same cut; row q's answer does not depend on
+  /// the other rows. The shards answer concurrently as one fork-join tree on
   /// the shared pool: a ParallelFor over shards whose per-shard phases nest
   /// into the same team, so at most `num_threads` threads (0 = workers +
   /// caller) run the window, and they balance across shards. The remap and

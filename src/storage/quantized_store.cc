@@ -1,9 +1,7 @@
 #include "storage/quantized_store.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -319,71 +317,13 @@ QuantizedStore::Codebook QuantizedStore::DeserializeCodebook(
   return cb;
 }
 
-// --- Serving policy knobs ----------------------------------------------------
+// --- Serving policy ----------------------------------------------------------
 
-namespace {
-
-// 0 = unset (consult the environment on first use).
-std::atomic<double> g_overfetch{0.0};
-// -1 = follow the environment; 0/1 = forced off/on (tests, benchmarks).
-std::atomic<int> g_quantized_mode{-1};
-
-// Default keep factor k' = 2k. At paper scale (1e6 Gaussian rows, d=128,
-// λ=128) the int8 prune's top-2k contains the exact top-k every time even
-// at overfetch 1.5; 2.0 buys slack for harder data while keeping the
-// rerank's per-row pread cost (the dominant serve-time overhead of the
-// quantized tier) at 2k syscalls per query.
-constexpr double kDefaultOverfetch = 2.0;
-
-double OverfetchFromEnv() {
-  const char* env = std::getenv("LCCS_RERANK_OVERFETCH");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const double v = std::strtod(env, &end);
-    if (end != env && std::isfinite(v) && v >= 1.0) return v;
-  }
-  return kDefaultOverfetch;
-}
-
-}  // namespace
-
-double RerankOverfetch() {
-  double v = g_overfetch.load(std::memory_order_relaxed);
-  if (v <= 0.0) {
-    v = OverfetchFromEnv();
-    g_overfetch.store(v, std::memory_order_relaxed);
-  }
-  return v;
-}
-
-void SetRerankOverfetch(double overfetch) {
-  // Anything below 1 (canonically 0) clears the override, so the next read
-  // consults LCCS_RERANK_OVERFETCH / the default again.
-  g_overfetch.store(
-      std::isfinite(overfetch) && overfetch >= 1.0 ? overfetch : 0.0,
-      std::memory_order_relaxed);
-}
-
-size_t RerankKeep(size_t k) {
-  const double keep = std::ceil(static_cast<double>(k) * RerankOverfetch());
-  return std::max(k, static_cast<size_t>(keep));
-}
-
-bool QuantizedServingEnabled() {
-  const int mode = g_quantized_mode.load(std::memory_order_relaxed);
-  if (mode >= 0) return mode != 0;
-  const char* env = std::getenv("LCCS_QUANTIZED");
-  if (env != nullptr &&
-      (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0)) {
-    return false;
-  }
-  return true;
-}
-
-void SetQuantizedServing(int mode) {
-  g_quantized_mode.store(mode < 0 ? -1 : (mode != 0 ? 1 : 0),
-                         std::memory_order_relaxed);
-}
+// Keep factor k' = 2k. At paper scale (1e6 Gaussian rows, d=128, λ=128) the
+// int8 prune's top-2k contains the exact top-k every time even at 1.5k; 2k
+// buys slack for harder data while keeping the rerank's exact-row reads
+// (the dominant serve-time overhead of the quantized tier) at 2k per query.
+size_t RerankKeep(size_t k) { return 2 * k; }
 
 const QuantizedStore* EnsureQuantized(
     const std::shared_ptr<const VectorStore>& store, util::Metric metric) {
@@ -407,7 +347,7 @@ const QuantizedStore* EnsureQuantized(
 const QuantizedStore* ActiveQuantized(const VectorStore* store,
                                       util::Metric metric,
                                       size_t* row_offset) {
-  if (store == nullptr || !QuantizedServingEnabled()) return nullptr;
+  if (store == nullptr) return nullptr;
   const QuantizedStore* q = store->Quantized(row_offset);
   if (q == nullptr || q->metric() != metric || q->cols() != store->cols()) {
     return nullptr;

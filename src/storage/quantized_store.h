@@ -36,7 +36,7 @@ namespace storage {
 /// Codes live on the heap (1 byte/dim + 4 bytes/row) regardless of where
 /// the float rows live, so an mmap-backed index can score its whole
 /// candidate list without touching disk and fault in only the top
-/// k' = k * rerank_overfetch exact rows for the final rerank
+/// k' = RerankKeep(k) exact rows for the final rerank
 /// (bench/disk_store's `quantized` mode). Scores are approximate; the tier
 /// never decides final ranks, only which candidates reach the exact pass.
 ///
@@ -146,24 +146,14 @@ class QuantizedStore {
   std::vector<float> terms_;    ///< per-row metric term (see class comment)
 };
 
-/// --- Serving policy knobs -------------------------------------------------
+/// --- Serving policy --------------------------------------------------------
+///
+/// Int8 scoring is on exactly when a store carries codes for the query's
+/// metric (EnsureQuantized, or DynamicIndex::Options::quantize); there is no
+/// process-wide switch.
 
-/// Rerank overfetch factor: the quantized pass keeps k' = max(k,
-/// ceil(k * overfetch)) candidates for the exact pass. Default 2.0;
-/// overridable via the LCCS_RERANK_OVERFETCH environment variable or
-/// SetRerankOverfetch (tests/benchmarks; values < 1 clear the override and
-/// fall back to the environment/default).
-double RerankOverfetch();
-void SetRerankOverfetch(double overfetch);
+/// Candidates the quantized pass keeps for the exact pass: k' = 2k.
 size_t RerankKeep(size_t k);
-
-/// Escape hatch: quantized candidate scoring is consulted only when this
-/// returns true. Default on; LCCS_QUANTIZED=off|0 disables it process-wide
-/// without rebuilding anything (the exact path is always still there).
-/// SetQuantizedServing overrides the environment: 1 on, 0 off, -1 back to
-/// the environment default.
-bool QuantizedServingEnabled();
-void SetQuantizedServing(int mode);
 
 /// Builds and attaches a quantized sibling to `store` if none is attached
 /// yet (first-wins under the store's lock). Returns the attached sibling,
@@ -184,10 +174,9 @@ void ExactRerank(const VectorStore& store, util::Metric metric,
                  const float* query, const int32_t* ids, size_t n,
                  util::TopK& topk);
 
-/// The quantized sibling a query path should score against right now:
-/// `store`'s attached sibling, provided the escape hatch is open and the
-/// sibling was built for `metric`. Sets `*row_offset` as
-/// VectorStore::Quantized does.
+/// The quantized sibling a query path should score against: `store`'s
+/// attached sibling, provided it was built for `metric`. Sets `*row_offset`
+/// as VectorStore::Quantized does.
 const QuantizedStore* ActiveQuantized(const VectorStore* store,
                                       util::Metric metric,
                                       size_t* row_offset);

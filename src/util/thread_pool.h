@@ -119,8 +119,8 @@ class ThreadPool {
 /// nested inside a chunk forks into that team instead of running inline —
 /// so ShardedSnapshot::QueryBatch's loop over shards and each shard's
 /// per-query phases balance against each other on the same few threads.
-/// Per-query latency figures in the paper remain single-thread: sequential
-/// Query calls never go through here.
+/// Per-query latency figures in the paper remain single-thread: a Query is
+/// a window of one run with num_threads = 1, so every pass runs inline.
 void ParallelFor(size_t n, const std::function<void(size_t, size_t)>& fn,
                  size_t num_threads = 0);
 

@@ -3,9 +3,12 @@
 // be bit-identical (ids and distances) to calling Query per row.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <future>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -20,8 +23,11 @@
 #include "baselines/static_lsh.h"
 #include "core/dynamic_index.h"
 #include "dataset/synthetic.h"
+#include "serve/server.h"
+#include "serve/sharded_index.h"
 #include "storage/flat_file.h"
 #include "storage/mmap_store.h"
+#include "storage/quantized_store.h"
 #include "util/random.h"
 
 namespace lccs {
@@ -436,6 +442,169 @@ TEST(QueryBatchTest, SeededShrinkingDedupNeverDropsCandidates) {
            << ": batch diverges from solo queries; minimal query set: "
            << msg.str();
   }
+}
+
+// ---------------------------------------------------------------------------
+// The exact stage on a store that prefers copy gathers (a budgeted mmap store
+// in production): heap rows behind a store that counts how the exact stage
+// reads them, and that can fail its reads on demand.
+
+/// Heap copy of `rows` that reports PrefersCopyGather() and counts the rows
+/// copied through ReadRowsInto and the in-place row advisories
+/// (PrefetchRows, NoteGather). While `fail_reads` is set, ReadRowsInto
+/// throws std::runtime_error, as a failed pread would.
+class CopyGatherStore : public storage::VectorStore {
+ public:
+  explicit CopyGatherStore(const storage::VectorStore& rows)
+      : rows_(rows.data(), rows.data() + rows.rows() * rows.cols()) {
+    SetView(rows_.data(), rows.rows(), rows.cols());
+  }
+
+  void PrefetchRows(const int32_t* ids, size_t n) const override {
+    ++prefetch_calls;
+    VectorStore::PrefetchRows(ids, n);
+  }
+  void NoteGather(size_t n) const override {
+    (void)n;
+    ++gather_notes;
+  }
+  bool PrefersCopyGather() const override { return true; }
+  void ReadRowsInto(const int32_t* ids, size_t n, float* out) const override {
+    if (fail_reads) {
+      throw std::runtime_error("CopyGatherStore: rerank read failed");
+    }
+    rows_read += n;
+    VectorStore::ReadRowsInto(ids, n, out);
+  }
+  std::string DebugName() const override { return "CopyGatherStore"; }
+
+  void ResetCounters() const {
+    rows_read = 0;
+    prefetch_calls = 0;
+    gather_notes = 0;
+  }
+
+  mutable std::atomic<size_t> rows_read{0};
+  mutable std::atomic<size_t> prefetch_calls{0};
+  mutable std::atomic<size_t> gather_notes{0};
+  std::atomic<bool> fail_reads{false};
+
+ private:
+  std::vector<float> rows_;
+};
+
+util::Matrix CopyOf(const storage::VectorStore& rows) {
+  util::Matrix copy(rows.rows(), rows.cols());
+  std::copy(rows.data(), rows.data() + rows.rows() * rows.cols(),
+            copy.data());
+  return copy;
+}
+
+/// A quantized single-probe scheme over `store` (codes attached first).
+std::unique_ptr<core::LccsLsh> QuantizedScheme(
+    const std::shared_ptr<const storage::VectorStore>& store,
+    const dataset::Dataset& data) {
+  EXPECT_NE(storage::EnsureQuantized(store, data.metric), nullptr);
+  auto scheme = std::make_unique<core::LccsLsh>(
+      lsh::MakeFamily(lsh::FamilyKind::kRandomProjection, data.dim(), 32, 8.0,
+                      2024),
+      data.metric);
+  scheme->Build(store);
+  return scheme;
+}
+
+// A pruned query's k' survivors are copied out through ReadRowsInto, one
+// read of exactly RerankKeep(k) rows per query, and never advised or read
+// in place — in a window of one and in a window of 16 alike. Answers equal
+// the same quantized index over plain heap rows, which reranks in place.
+TEST(QueryBatchTest, PrunedRerankCopyGathersOnCopyGatherStores) {
+  const auto data = SmallClusters(util::Metric::kEuclidean, 132);
+  const auto copy_store = std::make_shared<CopyGatherStore>(*data.data.store());
+  const auto heap_store =
+      std::make_shared<storage::InMemoryStore>(CopyOf(*data.data.store()));
+  const auto copy_scheme = QuantizedScheme(copy_store, data);
+  const auto heap_scheme = QuantizedScheme(heap_store, data);
+
+  const size_t k = 10;
+  const size_t lambda = 64;  // 73 candidates per query > RerankKeep(10)
+  for (const size_t window : {size_t{1}, size_t{16}}) {
+    copy_store->ResetCounters();
+    const auto got = copy_scheme->QueryBatch(data.queries.Row(0), window, k,
+                                             lambda, /*num_threads=*/3);
+    EXPECT_EQ(copy_store->rows_read, window * storage::RerankKeep(k))
+        << "window " << window;
+    EXPECT_EQ(copy_store->prefetch_calls, 0u) << "window " << window;
+    EXPECT_EQ(copy_store->gather_notes, 0u) << "window " << window;
+    const auto want = heap_scheme->QueryBatch(data.queries.Row(0), window, k,
+                                              lambda, /*num_threads=*/3);
+    EXPECT_EQ(got, want) << "window " << window;
+  }
+}
+
+// A rerank read that fails surfaces as an exception, never as an answer
+// missing the rows it could not read — from the scheme itself, and from a
+// serving window, whose futures all carry the error; the next window serves
+// normally.
+TEST(QueryBatchTest, FailedRerankReadIsAnErrorNotAWrongAnswer) {
+  const auto data = SmallClusters(util::Metric::kEuclidean, 133);
+  const auto copy_store = std::make_shared<CopyGatherStore>(*data.data.store());
+  const auto scheme = QuantizedScheme(copy_store, data);
+  const size_t k = 10;
+  const size_t lambda = 64;
+  copy_store->fail_reads = true;
+  EXPECT_THROW(scheme->QueryBatch(data.queries.Row(0), 1, k, lambda),
+               std::runtime_error);
+  EXPECT_THROW(scheme->QueryBatch(data.queries.Row(0), 8, k, lambda, 2),
+               std::runtime_error);
+  copy_store->fail_reads = false;
+
+  // The same rows served through a sharded index with codes, once over the
+  // failing store and once over plain heap rows as the reference.
+  const core::DynamicIndex::Factory factory = [] {
+    LccsLshIndex::Params params;
+    params.m = 32;
+    params.lambda = 64;
+    params.w = 8.0;
+    return std::make_unique<LccsLshIndex>(params);
+  };
+  serve::ShardedIndex::Options index_options;
+  index_options.num_shards = 2;
+  index_options.quantize = true;
+  index_options.shard_background_rebuild = false;
+  dataset::Dataset served = data;
+  served.data = copy_store;
+  serve::ShardedIndex index(factory, index_options);
+  index.Build(served);
+  dataset::Dataset plain = data;
+  plain.data = CopyOf(*data.data.store());
+  serve::ShardedIndex reference(factory, index_options);
+  reference.Build(plain);
+
+  serve::Server::Options server_options;
+  server_options.max_batch = 4;
+  server_options.max_delay_us = 2000;
+  server_options.num_threads = 2;
+  serve::Server server(&index, server_options);
+  const auto submit_window = [&] {
+    std::vector<std::future<serve::QueryResponse>> futures;
+    for (size_t q = 0; q < 4; ++q) {
+      futures.push_back(server.SubmitQuery(data.queries.Row(q), k));
+    }
+    return futures;
+  };
+
+  copy_store->fail_reads = true;
+  for (auto& future : submit_window()) {
+    EXPECT_THROW(future.get(), std::runtime_error);
+  }
+  copy_store->fail_reads = false;
+  auto futures = submit_window();
+  for (size_t q = 0; q < futures.size(); ++q) {
+    EXPECT_EQ(futures[q].get().neighbors,
+              reference.Query(data.queries.Row(q), k))
+        << "query " << q;
+  }
+  server.Stop();
 }
 
 }  // namespace

@@ -46,12 +46,10 @@ std::shared_ptr<const InMemoryStore> MakeStore(size_t rows, size_t cols,
   return std::make_shared<InMemoryStore>(RandomMatrix(rows, cols, seed));
 }
 
-/// Restores process-wide serving policy after each test, whatever it did.
+/// Removes the files a test asked Path() for.
 class QuantizedStoreTest : public ::testing::Test {
  protected:
   void TearDown() override {
-    SetQuantizedServing(-1);
-    SetRerankOverfetch(0.0);
     for (const std::string& path : cleanup_) std::remove(path.c_str());
   }
 
@@ -263,38 +261,31 @@ TEST_F(QuantizedStoreTest, CorruptCodebookRaisesRuntimeErrorNeverBadAlloc) {
   }
 }
 
-// --- Serving-policy knobs ---------------------------------------------------
+// --- Serving policy ----------------------------------------------------------
 
-TEST_F(QuantizedStoreTest, RerankKeepFollowsOverfetch) {
-  SetRerankOverfetch(3.0);
-  EXPECT_EQ(RerankKeep(10), 30u);
+TEST_F(QuantizedStoreTest, RerankKeepIsTwiceK) {
+  EXPECT_EQ(RerankKeep(10), 20u);
+  EXPECT_EQ(RerankKeep(1), 2u);
   EXPECT_EQ(RerankKeep(0), 0u);
-  EXPECT_EQ(RerankKeep(1), 3u);
-  SetRerankOverfetch(1.0);
-  EXPECT_EQ(RerankKeep(10), 10u);
-  SetRerankOverfetch(2.5);
-  EXPECT_EQ(RerankKeep(10), 25u);
-  EXPECT_EQ(RerankKeep(3), 8u);  // ceil(7.5)
 }
 
-TEST_F(QuantizedStoreTest, ServingSwitchGatesActiveQuantized) {
+TEST_F(QuantizedStoreTest, ActiveQuantizedFollowsAttachedCodes) {
   auto store = MakeStore(32, 8, 11);
+  size_t off = 99;
+  // No codes attached: nothing to score against.
+  EXPECT_EQ(ActiveQuantized(store.get(), util::Metric::kEuclidean, &off),
+            nullptr);
   const QuantizedStore* attached =
       EnsureQuantized(store, util::Metric::kEuclidean);
   ASSERT_NE(attached, nullptr);
   // Second call returns the already-attached sibling (first-wins).
   EXPECT_EQ(EnsureQuantized(store, util::Metric::kEuclidean), attached);
 
-  size_t off = 99;
-  SetQuantizedServing(1);
   EXPECT_EQ(ActiveQuantized(store.get(), util::Metric::kEuclidean, &off),
             attached);
   EXPECT_EQ(off, 0u);
   // Metric mismatch: the sibling was built for Euclidean combination.
   EXPECT_EQ(ActiveQuantized(store.get(), util::Metric::kAngular, &off),
-            nullptr);
-  SetQuantizedServing(0);
-  EXPECT_EQ(ActiveQuantized(store.get(), util::Metric::kEuclidean, &off),
             nullptr);
 }
 
@@ -332,8 +323,6 @@ namespace core {
 namespace {
 
 using storage::EnsureQuantized;
-using storage::SetQuantizedServing;
-using storage::SetRerankOverfetch;
 
 util::Matrix RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
   util::Matrix m(rows, cols);
@@ -345,8 +334,6 @@ util::Matrix RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
 class QuantizedRecallTest : public ::testing::Test {
  protected:
   void TearDown() override {
-    SetQuantizedServing(-1);
-    SetRerankOverfetch(0.0);
     for (const std::string& path : cleanup_) std::remove(path.c_str());
   }
 
@@ -399,8 +386,8 @@ TEST_F(QuantizedRecallTest, QuantizedRerankStaysWithinOnePointOfExact) {
   const std::string flat = Path("quantized_recall.flat");
   storage::WriteFlatFile(flat, base);
 
-  // Exact ground truth, once (full-precision linear scan, quantization off).
-  SetQuantizedServing(0);
+  // Exact ground truth, once: a full-precision linear scan over a store
+  // without codes.
   dataset::Dataset oracle_data;
   oracle_data.metric = util::Metric::kEuclidean;
   oracle_data.data = RandomMatrix(n, d, 20260807);
@@ -415,71 +402,59 @@ TEST_F(QuantizedRecallTest, QuantizedRerankStaysWithinOnePointOfExact) {
        {std::string("LCCS-LSH"), std::string("MP-LCCS-LSH"),
         std::string("LinearScan")}) {
     for (const bool mmap_backed : {false, true}) {
-      dataset::Dataset data;
-      data.name = name + (mmap_backed ? "/mmap" : "/heap");
-      data.metric = util::Metric::kEuclidean;
-      if (mmap_backed) {
-        data.data = storage::MmapStore::Open(flat);
-      } else {
-        data.data = RandomMatrix(n, d, 20260807);
-      }
-
+      // Two builds over the same rows, each on its own store: `plain`
+      // carries no codes and verifies at full precision, `coded` carries
+      // int8 codes and prunes on them.
+      const auto make_data = [&] {
+        dataset::Dataset data;
+        data.name = name + (mmap_backed ? "/mmap" : "/heap");
+        data.metric = util::Metric::kEuclidean;
+        if (mmap_backed) {
+          data.data = storage::MmapStore::Open(flat);
+        } else {
+          data.data = RandomMatrix(n, d, 20260807);
+        }
+        return data;
+      };
+      const dataset::Dataset plain = make_data();
+      const dataset::Dataset coded = make_data();
+      ASSERT_NE(EnsureQuantized(coded.data.store(), coded.metric), nullptr)
+          << coded.name;
+      auto plain_index = MakeNamedIndex(name);
+      plain_index->Build(plain);
       auto index = MakeNamedIndex(name);
-      index->Build(data);
+      index->Build(coded);
 
-      // Full-precision pass: quantized scoring globally off.
-      SetQuantizedServing(0);
       std::vector<std::vector<util::Neighbor>> full(num_queries);
-      for (size_t qi = 0; qi < num_queries; ++qi) {
-        full[qi] = index->Query(queries.Row(qi), k);
-      }
-
-      // Quantized pass over the same built index.
-      ASSERT_NE(EnsureQuantized(data.data.store(), data.metric), nullptr)
-          << data.name;
-      SetQuantizedServing(1);
-      SetRerankOverfetch(3.0);
       std::vector<std::vector<util::Neighbor>> quant(num_queries);
       for (size_t qi = 0; qi < num_queries; ++qi) {
+        full[qi] = plain_index->Query(queries.Row(qi), k);
         quant[qi] = index->Query(queries.Row(qi), k);
       }
 
+      // The shipped keep of RerankKeep(k) = 2k is what bench/disk_store and
+      // every deployment serve with; it must hold the floor.
       const double recall_full = RecallAgainst(truth, full, k);
       const double recall_quant = RecallAgainst(truth, quant, k);
       EXPECT_GE(recall_quant, recall_full - 0.01)
-          << data.name << ": quantized recall " << recall_quant
+          << coded.name << ": quantized recall " << recall_quant
           << " vs full-precision " << recall_full;
-
-      // The shipped default overfetch (smaller keep than the 3.0 above)
-      // must hold the same floor — it is what bench/disk_store and any
-      // un-tuned deployment actually serve with.
-      SetRerankOverfetch(0.0);
-      std::vector<std::vector<util::Neighbor>> quant_default(num_queries);
-      for (size_t qi = 0; qi < num_queries; ++qi) {
-        quant_default[qi] = index->Query(queries.Row(qi), k);
-      }
-      EXPECT_GE(RecallAgainst(truth, quant_default, k), recall_full - 0.01)
-          << data.name << ": default-overfetch recall "
-          << RecallAgainst(truth, quant_default, k) << " vs full-precision "
-          << recall_full;
-      SetRerankOverfetch(3.0);
 
       // The batched path must return exactly what per-query calls return,
       // quantized pruning included.
       const auto batch =
           index->QueryBatch(queries.data(), num_queries, k, /*threads=*/2);
-      ASSERT_EQ(batch.size(), num_queries) << data.name;
+      ASSERT_EQ(batch.size(), num_queries) << coded.name;
       for (size_t qi = 0; qi < num_queries; ++qi) {
         ASSERT_EQ(batch[qi].size(), quant[qi].size())
-            << data.name << " query " << qi;
+            << coded.name << " query " << qi;
         for (size_t r = 0; r < quant[qi].size(); ++r) {
           EXPECT_EQ(batch[qi][r].id, quant[qi][r].id)
-              << data.name << " query " << qi << " rank " << r;
+              << coded.name << " query " << qi << " rank " << r;
           EXPECT_EQ(batch[qi][r].dist, quant[qi][r].dist)
-              << data.name << " query " << qi << " rank " << r;
+              << coded.name << " query " << qi << " rank " << r;
         }
       }
-      SetQuantizedServing(-1);
     }
   }
 }
@@ -497,7 +472,6 @@ TEST_F(QuantizedRecallTest, ReportedDistancesAreExactUnderQuantization) {
   auto index = MakeNamedIndex("LCCS-LSH");
   index->Build(data);
   ASSERT_NE(EnsureQuantized(data.data.store(), data.metric), nullptr);
-  SetQuantizedServing(1);
 
   util::Matrix queries = RandomMatrix(8, d, 32);
   for (size_t qi = 0; qi < 8; ++qi) {
@@ -532,12 +506,10 @@ TEST_F(QuantizedRecallTest, DynamicIndexQuantizedLifecycleAndPersistence) {
   data.metric = options.metric;
   data.data = RandomMatrix(600, d, 91);
   index.Build(data);
-  // Epoch store carries a quantized sibling when quantize is on.
-  SetQuantizedServing(1);
-  SetRerankOverfetch(3.0);
+  // The epoch store carries a quantized sibling when quantize is on.
 
   // Grow a delta big enough that the delta scan's quantized prune engages
-  // (live delta rows > RerankKeep(k) = 15), with some removals mixed in.
+  // (live delta rows > RerankKeep(k) = 10), with some removals mixed in.
   util::Rng rng(92);
   std::vector<float> vec(d);
   std::vector<int32_t> inserted;
@@ -615,14 +587,11 @@ TEST_F(QuantizedRecallTest, DynamicIndexQuantizedMatchesExactOracle) {
       rng.FillGaussian(vec.data(), d);
       index.Insert(vec.data());
     }
-    SetQuantizedServing(quantize ? 1 : 0);
-    SetRerankOverfetch(3.0);
     std::vector<std::vector<util::Neighbor>> runs(16);
     for (size_t qi = 0; qi < 16; ++qi) {
       runs[qi] = index.Query(queries.Row(qi), k);
     }
     results.push_back(std::move(runs));
-    SetQuantizedServing(-1);
   }
   const double recall =
       RecallAgainst(results[0], results[1], k);
