@@ -42,6 +42,7 @@ BENCHMARK(BM_CsaBuild)
     ->Args({10000, 64})
     ->Args({10000, 128})
     ->Args({50000, 64})
+    ->Args({25000, 64})  // one perfbench serving shard (n = 100k over S = 4)
     ->Unit(benchmark::kMillisecond);
 
 void BM_CsaSearch(benchmark::State& state) {
@@ -65,6 +66,8 @@ BENCHMARK(BM_CsaSearch)
     ->Args({50000, 64, 10})
     ->Args({50000, 64, 100})
     ->Args({50000, 64, 1000})
+    // One perfbench serving shard: lambda + k - 1 = 2009 candidates.
+    ->Args({25000, 64, 2009})
     ->Unit(benchmark::kMicrosecond);
 
 // Brute-force k-LCCS for contrast: O(n m^2) vs the CSA's sublinear search.

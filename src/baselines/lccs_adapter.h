@@ -58,7 +58,7 @@ class LccsLshIndex : public AnnIndex {
   /// Likewise the probe count (the CSA is probe-agnostic).
   void set_num_probes(size_t num_probes);
 
-  /// Forwards core::LccsLsh::ReleaseNextLinks — drops a third of the CSA's
+  /// Forwards core::LccsLsh::ReleaseNextLinks — drops 4/13 of the CSA's
   /// memory for memory-tight serving (bench/disk_store quantized mode);
   /// queries stay exact, serialization of this instance becomes impossible.
   void ReleaseNextLinks() {

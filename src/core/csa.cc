@@ -13,6 +13,24 @@
 namespace lccs {
 namespace core {
 
+namespace {
+
+// Sort key of a string at shift i >= 1: its symbol t_i (sign-flipped so
+// unsigned order is HashValue order) above its rank at shift i + 1. Ranks
+// are unique, so sorting the keys orders I_i exactly as Build's pair
+// comparison does, and the low half names the string through I_{i+1}.
+uint64_t ShiftOrderKey(HashValue symbol, size_t succ_rank) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(symbol) ^ 0x80000000u)
+          << 32) |
+         succ_rank;
+}
+
+int32_t KeyRank(uint64_t key) { return static_cast<int32_t>(key); }
+
+bool SameSymbol(uint64_t a, uint64_t b) { return (a >> 32) == (b >> 32); }
+
+}  // namespace
+
 void CircularShiftArray::Build(const HashValue* strings, size_t n, size_t m) {
   assert(n >= 1 && m >= 1);
   // HeapKey field widths (see PackHeapKey): shift/len take 12 bits, pos 31.
@@ -22,6 +40,7 @@ void CircularShiftArray::Build(const HashValue* strings, size_t n, size_t m) {
   data_.assign(strings, strings + n * m);
   sorted_.assign(m * n, 0);
   next_.assign(m * n, 0);
+  adj_.assign(m * n, 0);
   if (next_released_) {
     // Rebuilding restores the links a prior ReleaseNextLinks dropped.
     next_released_ = false;
@@ -38,46 +57,88 @@ void CircularShiftArray::Build(const HashValue* strings, size_t n, size_t m) {
     if (cmp != 0) return cmp < 0;
     return a < b;
   });
-
-  // rank[id] = position of id in the most recently computed sorted index.
-  std::vector<int32_t> rank(n);
-  for (size_t pos = 0; pos < n; ++pos) rank[order0[pos]] = static_cast<int32_t>(pos);
+  const bool ordered = FillShiftZeroNeighborLcp();
+  assert(ordered);
+  (void)ordered;
 
   // Derive the remaining shift orders from their successors, in decreasing
   // shift order: shift(T, i) = [t_i] ++ (shift(T, i+1) minus its last
   // element), so sorting by the pair (t_i, rank at shift i+1) reproduces the
-  // shift-i lexicographic order (see class comment).
-  std::vector<int32_t> succ_rank = rank;  // rank at shift (i+1) % m
+  // shift-i lexicographic order (see class comment). Column i is copied out
+  // of the rows once, and the pairs are sorted as packed keys.
+  std::vector<HashValue> column(n);
+  std::vector<uint64_t> keys(n);
+  std::vector<int32_t> pending;
   for (size_t i = m; i-- > 1;) {
+    const int32_t* succ = sorted_.data() + ((i + 1) % m) * n;
+    for (size_t id = 0; id < n; ++id) column[id] = data_[id * m + i];
+    for (size_t r = 0; r < n; ++r) keys[r] = ShiftOrderKey(column[succ[r]], r);
+    std::sort(keys.begin(), keys.end());
+    // A key's rank is the next link N_i[pos] = position in I_{i+1} of the
+    // string at position pos of I_i (Algorithm 1, lines 3-7).
     int32_t* order = sorted_.data() + i * n;
-    std::iota(order, order + n, 0);
-    const HashValue* column_base = data_.data() + i;
-    std::sort(order, order + n,
-              [this, column_base, &succ_rank](int32_t a, int32_t b) {
-                const HashValue ca = column_base[static_cast<size_t>(a) * m_];
-                const HashValue cb = column_base[static_cast<size_t>(b) * m_];
-                if (ca != cb) return ca < cb;
-                return succ_rank[a] < succ_rank[b];
-              });
+    int32_t* link = next_.data() + i * n;
     for (size_t pos = 0; pos < n; ++pos) {
-      succ_rank[order[pos]] = static_cast<int32_t>(pos);
+      link[pos] = KeyRank(keys[pos]);
+      order[pos] = succ[link[pos]];
     }
+    FillNeighborLcp(i, keys.data(), &pending);
   }
 
-  // Next links: N_i[pos] = position in I_{(i+1) % m} of the string at
-  // position pos of I_i (Algorithm 1, lines 3-7).
-  for (size_t i = 0; i < m; ++i) {
-    const int32_t* cur = sorted_.data() + i * n;
-    const int32_t* nxt = sorted_.data() + ((i + 1) % m) * n;
-    for (size_t pos = 0; pos < n; ++pos) rank[nxt[pos]] = static_cast<int32_t>(pos);
-    int32_t* link = next_.data() + i * n;
-    for (size_t pos = 0; pos < n; ++pos) link[pos] = rank[cur[pos]];
+  // N_0 needs I_1's ranks, known only now (for m = 1, I_1 is I_0).
+  std::vector<int32_t> rank(n);
+  const int32_t* order1 = sorted_.data() + (1 % m) * n;
+  for (size_t pos = 0; pos < n; ++pos) {
+    rank[order1[pos]] = static_cast<int32_t>(pos);
   }
+  for (size_t pos = 0; pos < n; ++pos) next_[pos] = rank[order0[pos]];
 }
 
-int CircularShiftArray::Compare(int32_t id, const HashValue* query,
-                                size_t shift, int32_t* lcp) const {
-  return CompareShifted(String(id), query, m_, shift, lcp);
+bool CircularShiftArray::FillShiftZeroNeighborLcp() {
+  const int32_t* order = sorted_.data();
+  for (size_t pos = 0; pos + 1 < n_; ++pos) {
+    int32_t lcp = 0;
+    if (CompareShifted(String(order[pos]), String(order[pos + 1]), m_, 0,
+                       &lcp) > 0) {
+      return false;
+    }
+    adj_[pos] = static_cast<uint8_t>(std::min(lcp, kNeighborLcpCap));
+  }
+  return true;
+}
+
+void CircularShiftArray::FillNeighborLcp(size_t shift, const uint64_t* keys,
+                                         std::vector<int32_t>* pending) {
+  const uint8_t* succ_adj = adj_.data() + ((shift + 1) % m_) * n_;
+  uint8_t* adj = adj_.data() + shift * n_;
+  // Neighbours with different t_shift share nothing (adj stays 0). For
+  // neighbours at pos and pos + 1 with equal t_shift, pending[r] = pos where
+  // r is the rank of the pos + 1 string at shift + 1; the pos string ranks
+  // lower there, at l = KeyRank(keys[pos]).
+  pending->assign(n_, -1);
+  for (size_t pos = 1; pos < n_; ++pos) {
+    if (SameSymbol(keys[pos - 1], keys[pos])) {
+      (*pending)[KeyRank(keys[pos])] = static_cast<int32_t>(pos - 1);
+    }
+  }
+  // Sweep shift + 1 in rank order keeping the ranks whose succ_adj values
+  // strictly increase (the suffix minima of succ_adj[0, r)): the minimum of
+  // succ_adj[l, r) is the value at the first kept rank >= l. The kept values
+  // are distinct bytes, so the stack never exceeds 256 entries.
+  std::vector<int32_t> stack;
+  stack.reserve(256);
+  for (size_t r = 1; r < n_; ++r) {
+    const uint8_t v = succ_adj[r - 1];
+    while (!stack.empty() && succ_adj[stack.back()] >= v) stack.pop_back();
+    stack.push_back(static_cast<int32_t>(r - 1));
+    const int32_t pos = (*pending)[r];
+    if (pos < 0) continue;
+    const int32_t l = KeyRank(keys[pos]);
+    const int32_t min_rank = *std::lower_bound(stack.begin(), stack.end(), l);
+    const int32_t lcp =
+        1 + std::min<int32_t>(static_cast<int32_t>(m_) - 1, succ_adj[min_rank]);
+    adj[pos] = static_cast<uint8_t>(std::min(lcp, kNeighborLcpCap));
+  }
 }
 
 CircularShiftArray::ShiftBounds CircularShiftArray::SearchShift(
@@ -198,57 +259,54 @@ void CircularShiftArray::CollectFromHeap(const HashValue* const* probes,
   // position (Fact 3.2), so the first pop of an id yields |LCCS(T_id, Q)|.
   // HeapEntry's comparator is a total order, so the pop sequence depends
   // only on the set of entries, never on push order or heap layout.
+  const auto n = static_cast<int32_t>(n_);
   auto& heap = scratch->heap;
+  uint8_t* seen = scratch->seen.data();
+  const uint8_t stamp = scratch->stamp;
   // Frontier-position dedup matters only when several probes overlap in the
   // sorted orders (Example 4.1): with one probe the lo-chain only ever moves
   // down from pos_lo and the hi-chain up from pos_hi = pos_lo + 1, so no
   // position can be reached twice and the check would never fire.
   const bool dedup_positions = num_probes > 1;
   while (out->size() < count && !heap.empty()) {
-    CollectStep(probes, dedup_positions, count, scratch, out);
-  }
-}
-
-bool CircularShiftArray::CollectStep(const HashValue* const* probes,
-                                     bool dedup_positions, size_t count,
-                                     SearchScratch* scratch,
-                                     std::vector<LccsCandidate>* out) const {
-  const auto n = static_cast<int32_t>(n_);
-  auto& heap = scratch->heap;
-  const uint8_t stamp = scratch->stamp;
-  const HeapKey key = heap.front();
-  std::pop_heap(heap.begin(), heap.end());
-  heap.pop_back();
-  struct {
-    int32_t len, shift, pos, probe;
-    int32_t dir;
-  } e{HeapKeyLen(key), HeapKeyShift(key), HeapKeyPos(key), HeapKeyProbe(key),
-      HeapKeyDir(key)};
-  bool consumed = false;
-  if (dedup_positions) {
-    uint8_t& mark = scratch->visited[static_cast<size_t>(e.shift) * n_ +
-                                      static_cast<size_t>(e.pos)];
-    consumed = mark == stamp;
-    mark = stamp;
-  }
-  if (!consumed) {
-    const int32_t id = SortedId(e.shift, e.pos);
-    uint8_t& seen = scratch->seen[static_cast<size_t>(id)];
-    if (seen != stamp) {
-      seen = stamp;
-      out->push_back({id, e.len});
+    const HeapKey key = heap.front();
+    std::pop_heap(heap.begin(), heap.end());
+    heap.pop_back();
+    const int32_t len = HeapKeyLen(key);
+    const int32_t shift = HeapKeyShift(key);
+    const int32_t pos = HeapKeyPos(key);
+    const int32_t probe = HeapKeyProbe(key);
+    const int32_t dir = HeapKeyDir(key);
+    const size_t base = static_cast<size_t>(shift) * n_;
+    const int32_t* ids = sorted_.data() + base;
+    const uint8_t* adj = adj_.data() + base;
+    uint8_t* visited =
+        dedup_positions ? scratch->visited.data() + base : nullptr;
+    if (visited != nullptr) {
+      if (visited[pos] == stamp) continue;  // another probe consumed it
+      visited[pos] = stamp;
     }
-    // Advance the chain. Two shortcuts, both order-preserving:
+    if (seen[ids[pos]] != stamp) {
+      seen[ids[pos]] = stamp;
+      out->push_back({ids[pos], len});
+    }
+    // Advance the chain. Its LCP is carried, not re-read: every position
+    // lies on the far side of pos from the probe's own bound, so
+    // LCP(probe, I[npos]) = min(LCP(probe, I[pos]), the neighbour LCPs
+    // between pos and npos) — a running minimum over each step, skipped
+    // positions included. Only a minimum at the cap (m above it) may hide
+    // a longer LCP, and there the probe is compared directly.
+    //
+    // Two shortcuts, both order-preserving:
     //
     // Fast-forward: skip positions that can no longer contribute — ids
     // already emitted (and, multi-probe, frontier positions another probe
     // already consumed). Each skipped step costs one stamped-array lookup
-    // instead of a full heap cycle + LCP over the row's hash string — with
-    // m chains surfacing overlapping id sets, duplicate pops otherwise
-    // dominate the search (super-linearly in the candidate budget as the
-    // unique ids thin out). Marks only accumulate within a query, so a mark
-    // observed here would also be observed at the (later) pop of the same
-    // entry.
+    // instead of a full heap cycle — with m chains surfacing overlapping id
+    // sets, duplicate pops otherwise dominate the search (super-linearly in
+    // the candidate budget as the unique ids thin out). Marks only
+    // accumulate within a query, so a mark observed here would also be
+    // observed at the (later) pop of the same entry.
     //
     // Run extension: while the successor's LCP *equals* the popped length,
     // emit it in place instead of cycling it through the heap. The pop
@@ -258,79 +316,35 @@ bool CircularShiftArray::CollectStep(const HashValue* const* probes,
     // (the lo chain's positions only decrease, the hi chain stays above
     // it) — no pending or future entry can interpose inside an equal-LCP
     // run of one chain, and the emitted sequence is exactly the heap's.
-    int32_t npos = e.pos + e.dir;
+    int32_t npos = pos;
+    int32_t nlen = len;
     for (;;) {
-      while (npos >= 0 && npos < n) {
-        if (dedup_positions &&
-            scratch->visited[static_cast<size_t>(e.shift) * n_ +
-                             static_cast<size_t>(npos)] == stamp) {
-          npos += e.dir;
-          continue;
-        }
-        if (scratch->seen[static_cast<size_t>(SortedId(e.shift, npos))] !=
-            stamp) {
+      for (;;) {
+        const int32_t next = npos + dir;
+        if (next < 0 || next >= n) {
+          npos = next;
           break;
         }
-        npos += e.dir;
+        nlen = std::min<int32_t>(nlen, adj[dir > 0 ? npos : next]);
+        npos = next;
+        if (visited != nullptr && visited[npos] == stamp) continue;
+        if (seen[ids[npos]] != stamp) break;
       }
       if (npos < 0 || npos >= n) break;  // chain exhausted
-      const int32_t nid = SortedId(e.shift, npos);
-      const int32_t nlen = Lcp(nid, probes[e.probe], e.shift);
-      if (nlen != e.len || out->size() >= count) {
-        heap.push_back(PackHeapKey(nlen, e.shift, npos, e.probe, e.dir));
+      const int32_t nid = ids[npos];
+      if (nlen == kNeighborLcpCap &&
+          m_ > static_cast<size_t>(kNeighborLcpCap)) {
+        nlen = Lcp(nid, probes[probe], static_cast<size_t>(shift));
+      }
+      if (nlen != len || out->size() >= count) {
+        heap.push_back(PackHeapKey(nlen, shift, npos, probe, dir));
         std::push_heap(heap.begin(), heap.end());
         break;
       }
-      if (dedup_positions) {
-        scratch->visited[static_cast<size_t>(e.shift) * n_ +
-                         static_cast<size_t>(npos)] = stamp;
-      }
-      scratch->seen[static_cast<size_t>(nid)] = stamp;
+      if (visited != nullptr) visited[npos] = stamp;
+      seen[nid] = stamp;
       out->push_back({nid, nlen});
-      npos += e.dir;
     }
-  }
-  if (out->size() >= count || heap.empty()) return false;
-  // The next iteration pops the current top (nothing intervenes on this
-  // scratch) and its one cache-missing read is the LCP over the successor's
-  // hash string — a random row of data_. Prefetch the line the circular
-  // compare starts at; the chain's sorted_ entries are contiguous and almost
-  // always already cached, so reading the successor id here is cheap.
-  const HeapKey top = heap.front();
-  const int32_t tshift = HeapKeyShift(top);
-  const int32_t tp = HeapKeyPos(top) + HeapKeyDir(top);
-  if (tp >= 0 && tp < n) {
-    __builtin_prefetch(String(SortedId(tshift, tp)) + tshift);
-  }
-  return true;
-}
-
-void CircularShiftArray::CollectFromHeapInterleaved(CollectJob* jobs,
-                                                    size_t num_jobs,
-                                                    size_t count) const {
-  // Round-robin scheduler: each turn advances one live query by exactly one
-  // pop iteration, then rotates. A query's prefetch therefore has the other
-  // queries' turns to complete before its next LCP needs the row — and the
-  // memory system holds up to num_jobs independent misses at once instead
-  // of the single dependent miss a solo pop chain can express.
-  std::vector<uint32_t> live;
-  live.reserve(num_jobs);
-  for (size_t j = 0; j < num_jobs; ++j) {
-    if (jobs[j].out->size() < count && !jobs[j].scratch->heap.empty()) {
-      live.push_back(static_cast<uint32_t>(j));
-    }
-  }
-  size_t num_live = live.size();
-  while (num_live > 0) {
-    size_t w = 0;
-    for (size_t i = 0; i < num_live; ++i) {
-      const CollectJob& job = jobs[live[i]];
-      if (CollectStep(job.probes, job.num_probes > 1, count, job.scratch,
-                      job.out)) {
-        live[w++] = live[i];
-      }
-    }
-    num_live = w;
   }
 }
 
@@ -460,10 +474,39 @@ CircularShiftArray CircularShiftArray::Deserialize(std::istream& in) {
       throw std::runtime_error("CSA stream: corrupt next link");
     }
   }
-  for (const int32_t id : csa.sorted_) {
-    if (id < 0 || id >= static_cast<int32_t>(n)) {
-      throw std::runtime_error("CSA stream: corrupt sorted index");
+  // Each I_i must be a permutation (stamp = shift + 1 marks its ids).
+  std::vector<uint32_t> mark(n, 0);
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t pos = 0; pos < n; ++pos) {
+      const int32_t id = csa.sorted_[i * n + pos];
+      if (id < 0 || id >= static_cast<int32_t>(n) || mark[id] == i + 1) {
+        throw std::runtime_error("CSA stream: corrupt sorted index");
+      }
+      mark[id] = static_cast<uint32_t>(i + 1);
     }
+  }
+  // Derive the neighbour LCPs as Build does; the derivation needs every
+  // shift in order, which a corrupt stream may not be.
+  csa.adj_.assign(count, 0);
+  if (!csa.FillShiftZeroNeighborLcp()) {
+    throw std::runtime_error("CSA stream: sorted index out of order");
+  }
+  std::vector<int32_t> rank(n);
+  std::vector<uint64_t> keys(n);
+  std::vector<int32_t> pending;
+  for (size_t i = m; i-- > 1;) {
+    const int32_t* succ = csa.sorted_.data() + ((i + 1) % m) * n;
+    for (size_t r = 0; r < n; ++r) rank[succ[r]] = static_cast<int32_t>(r);
+    const int32_t* order = csa.sorted_.data() + i * n;
+    for (size_t pos = 0; pos < n; ++pos) {
+      const int32_t id = order[pos];
+      keys[pos] = ShiftOrderKey(csa.data_[static_cast<size_t>(id) * m + i],
+                                static_cast<size_t>(rank[id]));
+      if (pos > 0 && keys[pos - 1] >= keys[pos]) {
+        throw std::runtime_error("CSA stream: sorted index out of order");
+      }
+    }
+    csa.FillNeighborLcp(i, keys.data(), &pending);
   }
   return csa;
 }

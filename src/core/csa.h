@@ -25,9 +25,12 @@ struct LccsCandidate {
 /// (Theorem 3.1). The structure stores, for every shift i in [0, m):
 ///
 ///   * I_i — the ids of all strings sorted by shift(T, i) lexicographically
-///           (the "sorted indices" of Algorithm 1), and
+///           (the "sorted indices" of Algorithm 1),
 ///   * N_i — the "next links": N_i[pos] is the position in I_{(i+1) % m} of
-///           the string stored at position pos of I_i.
+///           the string stored at position pos of I_i, and
+///   * A_i — the neighbour LCPs: A_i[pos] is the LCP of the strings at
+///           positions pos and pos + 1 of I_i, saturated at kNeighborLcpCap
+///           (one byte per entry; A_i[n-1] is 0).
 ///
 /// Build cost is O(m n log n): shift 0 is sorted with a circular comparator,
 /// and every other shift order is derived from its successor in O(n log n)
@@ -35,7 +38,14 @@ struct LccsCandidate {
 /// minus its last element, so sorting by the pair (t_i, rank at shift i+1)
 /// reproduces the shift-i order exactly (equal-through-prefix strings can
 /// only be permuted when fully equal, where order is immaterial; we break
-/// such ties by id for determinism).
+/// such ties by id for determinism). A_i follows from A_{i+1} the same way
+/// without reading a row: neighbours with different t_i share nothing, and
+/// neighbours with equal t_i share 1 + min(m-1, min of A_{i+1} between their
+/// two ranks there). Only A_0 compares rows.
+///
+/// A_i is what makes the pop loop of Algorithm 2 read no hash row: along a
+/// chain walking away from the query's bound, LCP(Q, I_i[p]) is the minimum
+/// of LCP(Q, I_i[bound]) and every A_i entry in between (Manber & Myers).
 ///
 /// The low-level primitives (per-shift binary search, LCP, next links) are
 /// public so that MP-LCCS-LSH (Section 4.2) can drive its multi-probe search
@@ -61,6 +71,16 @@ class CircularShiftArray {
   /// `pos` of I_shift.
   int32_t NextPosition(size_t shift, size_t pos) const {
     return next_[shift * n_ + pos];
+  }
+
+  /// Saturation value of the neighbour LCPs: an entry of kNeighborLcpCap
+  /// means "at least kNeighborLcpCap" (exact whenever m <= kNeighborLcpCap).
+  static constexpr int32_t kNeighborLcpCap = 255;
+
+  /// LCP of the strings at positions `pos` and `pos` + 1 of I_shift, capped
+  /// at kNeighborLcpCap; 0 at pos = n - 1.
+  int32_t NeighborLcp(size_t shift, size_t pos) const {
+    return adj_[shift * n_ + pos];
   }
 
   /// Pointer to the m hash values of string `id`.
@@ -106,18 +126,21 @@ class CircularShiftArray {
   std::vector<LccsCandidate> Search(const HashValue* query, size_t k,
                                     std::vector<ShiftBounds>* state) const;
 
-  /// Memory footprint of the index (data + sorted indices + next links).
+  /// Memory footprint of the index (data + sorted indices + next links +
+  /// one byte of neighbour LCP per sorted position).
   size_t SizeBytes() const {
     return data_.size() * sizeof(HashValue) +
-           sorted_.size() * sizeof(int32_t) + next_.size() * sizeof(int32_t);
+           sorted_.size() * sizeof(int32_t) + next_.size() * sizeof(int32_t) +
+           adj_.size() * sizeof(uint8_t);
   }
 
-  /// Frees the next-link arrays (N_i, one third of the index) and disables
-  /// narrowing. Next links only accelerate the binary-search cascade
-  /// (Corollary 3.2) and back Serialize; a memory-tight deployment — e.g.
-  /// bench/disk_store's quantized mode chasing an RSS ceiling — can drop
-  /// them after Build and still answer every query exactly (the ablation
-  /// equivalence property: full-range searches return identical results).
+  /// Frees the next-link arrays (N_i, 4 of the index's 13 bytes per string
+  /// and shift) and disables narrowing. Next links only accelerate the
+  /// binary-search cascade (Corollary 3.2) and back Serialize; a
+  /// memory-tight deployment — e.g. bench/disk_store's quantized mode
+  /// chasing an RSS ceiling — can drop them after Build and still answer
+  /// every query exactly (the ablation equivalence property: full-range
+  /// searches return identical results).
   /// Irreversible for this instance; Serialize afterwards throws
   /// std::logic_error rather than writing a structure Deserialize could not
   /// rebuild.
@@ -133,10 +156,13 @@ class CircularShiftArray {
 
   /// Writes the complete structure (n, m, hash strings, sorted indices,
   /// next links) to a binary stream; little-endian, versioned magic header.
+  /// The neighbour LCPs are not written: Deserialize derives them.
   void Serialize(std::ostream& out) const;
 
-  /// Reconstructs a CSA previously written by Serialize. Throws
-  /// std::runtime_error on malformed input.
+  /// Reconstructs a CSA previously written by Serialize, deriving the
+  /// neighbour LCPs as Build does. Throws std::runtime_error on malformed
+  /// input, including sorted indices that are not permutations or not in
+  /// shift order.
   static CircularShiftArray Deserialize(std::istream& in);
 
   /// Entry of the shared candidate priority queue of Algorithm 2, packed
@@ -214,48 +240,25 @@ class CircularShiftArray {
   /// probe, frontier positions are deduplicated through scratch->visited
   /// (the redundancy control of Example 4.1); with one probe the lo/hi
   /// chains never collide, so the check is skipped. Entries must already be
-  /// heaped (SearchBounds / PushBounds) and expansion extends LCPs against
-  /// probes[entry.probe].
+  /// heaped (SearchBounds / PushBounds), each at a bound SearchShift found
+  /// for probes[entry.probe]: a chain's LCPs are carried from its bound
+  /// through the neighbour LCPs, and the probe string is read only when an
+  /// LCP reaches kNeighborLcpCap with m above it.
   void CollectFromHeap(const HashValue* const* probes, size_t num_probes,
                        size_t count, SearchScratch* scratch,
                        std::vector<LccsCandidate>* out) const;
 
-  /// One query's pop-loop state for CollectFromHeapInterleaved. The scratch
-  /// must already be seeded (SearchBounds / PushBounds) and `probes` must
-  /// stay valid until the collect finishes.
-  struct CollectJob {
-    const HashValue* const* probes = nullptr;
-    size_t num_probes = 0;
-    SearchScratch* scratch = nullptr;
-    std::vector<LccsCandidate>* out = nullptr;
-  };
-
-  /// CollectFromHeap for several independent queries with their pop loops
-  /// interleaved round-robin, one iteration per query per turn. The pop loop
-  /// is a dependent chain of random hash-row reads (pop → successor id →
-  /// LCP over its hash string), so a single query keeps at most one cache
-  /// miss in flight; interleaving keeps `num_jobs` misses in flight and
-  /// gives each query's prefetch (issued right after its push) a full
-  /// round-trip of other queries' work to land. Per query this runs exactly
-  /// the CollectFromHeap iteration on the query's own scratch and output —
-  /// results are bit-identical to num_jobs solo calls.
-  void CollectFromHeapInterleaved(CollectJob* jobs, size_t num_jobs,
-                                  size_t count) const;
-
  private:
-  /// One iteration of the Algorithm 2 pop loop: pops the top entry,
-  /// possibly emits its id, advances its chain, and prefetches the hash row
-  /// the *next* iteration's LCP will read (the next pop is the current heap
-  /// top — nothing is pushed in between). Precondition: heap non-empty and
-  /// out not yet full. Returns whether another iteration can run.
-  bool CollectStep(const HashValue* const* probes, bool dedup_positions,
-                   size_t count, SearchScratch* scratch,
-                   std::vector<LccsCandidate>* out) const;
+  /// Fills A_0 by comparing the neighbours of I_0 directly. Returns false
+  /// if I_0 is out of shift-0 order (only a corrupt stream can be).
+  bool FillShiftZeroNeighborLcp();
 
-  /// Three-way compare of shift(T_id, shift) against shift(Q, shift),
-  /// setting *lcp to the common-prefix length.
-  int Compare(int32_t id, const HashValue* query, size_t shift,
-              int32_t* lcp) const;
+  /// Fills A_shift (shift >= 1) from A_{(shift+1) % m} without reading a
+  /// row. keys[p] packs (t_shift, rank at shift + 1) of the string at
+  /// position p of I_shift (see ShiftOrderKey in csa.cc) and must be
+  /// strictly increasing; `pending` is an n-entry workspace.
+  void FillNeighborLcp(size_t shift, const uint64_t* keys,
+                       std::vector<int32_t>* pending);
 
   size_t n_ = 0;
   size_t m_ = 0;
@@ -264,6 +267,7 @@ class CircularShiftArray {
   std::vector<HashValue> data_;  // n x m, row-major
   std::vector<int32_t> sorted_;  // m x n: I_i
   std::vector<int32_t> next_;    // m x n: N_i
+  std::vector<uint8_t> adj_;     // m x n: A_i
 };
 
 }  // namespace core

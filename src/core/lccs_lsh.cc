@@ -283,38 +283,20 @@ void LccsLsh::QueryWindow(const float* queries, size_t num_queries, size_t k,
       },
       num_threads);
 
-  // Phase 2: candidate generation in interleaved groups. Each query in a
-  // group gets its own scratch; PrepareSearch runs the bound cascade solo,
-  // then CollectFromHeapInterleaved drains the groups' heaps round-robin —
-  // the pop loop is a dependent chain of random hash-row reads, and
-  // interleaving keeps kInterleave misses in flight where a solo drain has
-  // one. Per query the iterations are identical, so each query's list still
-  // preserves the solo surfacing order — the order phases 3 and 6 offer
+  // Phase 2: candidate generation, one scratch per chunk. Each query's list
+  // keeps its search's surfacing order — the order phases 3 and 6 offer
   // candidates to TopK in, so tie-breaking never depends on the window.
-  constexpr size_t kInterleave = 8;
   std::vector<std::vector<LccsCandidate>>& cands = window->cands;
   if (cands.size() < num_queries) cands.resize(num_queries);
   util::ParallelFor(
       num_queries,
       [&](size_t begin, size_t end) {
-        std::vector<std::unique_ptr<QueryScratch>> scratches;
-        std::vector<CircularShiftArray::CollectJob> jobs;
-        for (size_t g = begin; g < end; g += kInterleave) {
-          const size_t g_end = std::min(end, g + kInterleave);
-          while (scratches.size() < g_end - g) {
-            scratches.push_back(MakeScratch());
-          }
-          jobs.clear();
-          for (size_t q = g; q < g_end; ++q) {
-            QueryScratch* scratch = scratches[q - g].get();
-            cands[q].clear();
-            cands[q].reserve(std::min<size_t>(count, n_));
-            PrepareSearch(queries + q * d_, hashes.data() + q * m, scratch);
-            jobs.push_back({scratch->probe_ptrs.data(),
-                            scratch->probe_ptrs.size(), &scratch->csa,
-                            &cands[q]});
-          }
-          csa_.CollectFromHeapInterleaved(jobs.data(), jobs.size(), count);
+        const std::unique_ptr<QueryScratch> scratch = MakeScratch();
+        for (size_t q = begin; q < end; ++q) {
+          cands[q].clear();
+          cands[q].reserve(std::min<size_t>(count, n_));
+          AppendCandidates(queries + q * d_, hashes.data() + q * m, count,
+                           scratch.get(), &cands[q]);
         }
       },
       num_threads);

@@ -96,7 +96,7 @@ class LccsLsh {
   /// CircularShiftArray::set_use_narrowing).
   void set_use_narrowing(bool enabled) { csa_.set_use_narrowing(enabled); }
 
-  /// Frees the CSA's next-link arrays (one third of the index) at the cost
+  /// Frees the CSA's next-link arrays (4/13 of the index) at the cost
   /// of full-range binary searches per shift; results are unchanged. See
   /// CircularShiftArray::ReleaseNextLinks for the serialization caveat.
   void ReleaseNextLinks() { csa_.ReleaseNextLinks(); }
@@ -145,18 +145,13 @@ class LccsLsh {
   /// Everything of the candidate search up to (not including) the heap pop
   /// loop: begins the scratch, runs the bound cascade (plus, in MpLccsLsh,
   /// the perturbed probes of Section 4.2), and records the probe string
-  /// pointers in scratch->probe_ptrs. Splitting here lets QueryBatch prepare
-  /// several queries and drain their heaps interleaved
-  /// (CollectFromHeapInterleaved) while AppendCandidates drains one solo —
-  /// both run the identical per-query pop iteration.
+  /// pointers in scratch->probe_ptrs.
   virtual void PrepareSearch(const float* query, const HashValue* hash,
                              QueryScratch* scratch) const;
 
   /// Appends up to `count` LCCS candidates of the query (whose hash string
   /// `hash` is already computed) to `out`, in the order the query's search
-  /// surfaces them: PrepareSearch followed by a solo CollectFromHeap
-  /// (MpLccsLsh::Candidates' path; QueryBatch drains the same iteration
-  /// interleaved).
+  /// surfaces them: PrepareSearch followed by CollectFromHeap.
   void AppendCandidates(const float* query, const HashValue* hash,
                         size_t count, QueryScratch* scratch,
                         std::vector<LccsCandidate>* out) const;

@@ -46,8 +46,7 @@ class MpLccsLsh : public LccsLsh {
   /// Raw candidates across the probing sequence (no verification). Query and
   /// QueryBatch are inherited from LccsLsh: both dispatch through the
   /// PrepareSearch override below, so the multi-probe scheme gets the
-  /// batched engine (shared hashing pass, interleaved heap drain,
-  /// deduplicated gather) for free.
+  /// batched engine (shared hashing pass, deduplicated gather) for free.
   std::vector<LccsCandidate> Candidates(const float* query,
                                         size_t count) const;
 

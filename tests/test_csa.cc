@@ -119,9 +119,10 @@ TEST(CsaBuildTest, SizeBytesAccountsForAllArrays) {
   const auto data = RandomStrings(n, m, 4, 9);
   CircularShiftArray csa;
   csa.Build(data.data(), n, m);
-  // data (n*m HashValue) + sorted (m*n int32) + next (m*n int32).
-  EXPECT_EQ(csa.SizeBytes(),
-            n * m * sizeof(HashValue) + 2 * m * n * sizeof(int32_t));
+  // data (n*m HashValue) + sorted (m*n int32) + next (m*n int32) +
+  // neighbour LCPs (m*n bytes).
+  EXPECT_EQ(csa.SizeBytes(), n * m * sizeof(HashValue) +
+                                 2 * m * n * sizeof(int32_t) + m * n);
 }
 
 // ---------------------------------------------------------------------------
@@ -292,6 +293,217 @@ TEST(CsaSearchTest, StateHasOneEntryPerShift) {
 }
 
 // ---------------------------------------------------------------------------
+// Neighbour-LCP drain: CollectFromHeap carries each chain's LCP through the
+// neighbour LCPs instead of re-reading rows, and must reproduce the drain
+// that re-reads every LCP exactly — same ids, lengths and order.
+
+// Strings with deep collision runs: copies of a few base strings over a
+// two-letter alphabet, each with a few symbols flipped, so sorted
+// neighbours share long prefixes at every shift (past 255 when m = 300).
+std::vector<HashValue> DeepRunStrings(size_t n, size_t m, uint64_t seed) {
+  util::Rng rng(seed);
+  const size_t num_bases = 4;
+  std::vector<HashValue> bases(num_bases * m);
+  for (auto& v : bases) v = static_cast<HashValue>(rng.NextBounded(2));
+  std::vector<HashValue> data(n * m);
+  for (size_t id = 0; id < n; ++id) {
+    const HashValue* base = bases.data() + rng.NextBounded(num_bases) * m;
+    std::copy(base, base + m, data.begin() + id * m);
+    const size_t flips = rng.NextBounded(3);
+    for (size_t f = 0; f < flips; ++f) {
+      data[id * m + rng.NextBounded(m)] ^= 1;
+    }
+  }
+  return data;
+}
+
+// The pop loop as it was before neighbour LCPs: every chain step computes
+// the successor's LCP against its probe from the hash row.
+void RereadingCollect(const CircularShiftArray& csa,
+                      const HashValue* const* probes, size_t num_probes,
+                      size_t count, CircularShiftArray::SearchScratch* scratch,
+                      std::vector<LccsCandidate>* out) {
+  using Csa = CircularShiftArray;
+  const auto n = static_cast<int32_t>(csa.n());
+  auto& heap = scratch->heap;
+  const uint8_t stamp = scratch->stamp;
+  const bool dedup_positions = num_probes > 1;
+  while (out->size() < count && !heap.empty()) {
+    const Csa::HeapKey key = heap.front();
+    std::pop_heap(heap.begin(), heap.end());
+    heap.pop_back();
+    const int32_t len = Csa::HeapKeyLen(key);
+    const int32_t shift = Csa::HeapKeyShift(key);
+    const int32_t pos = Csa::HeapKeyPos(key);
+    const int32_t probe = Csa::HeapKeyProbe(key);
+    const int32_t dir = Csa::HeapKeyDir(key);
+    const auto visited = [&](int32_t p) -> uint8_t& {
+      return scratch->visited[static_cast<size_t>(shift) * csa.n() +
+                              static_cast<size_t>(p)];
+    };
+    if (dedup_positions) {
+      if (visited(pos) == stamp) continue;
+      visited(pos) = stamp;
+    }
+    const int32_t id = csa.SortedId(shift, pos);
+    if (scratch->seen[id] != stamp) {
+      scratch->seen[id] = stamp;
+      out->push_back({id, len});
+    }
+    int32_t npos = pos + dir;
+    for (;;) {
+      while (npos >= 0 && npos < n) {
+        if ((dedup_positions && visited(npos) == stamp) ||
+            scratch->seen[csa.SortedId(shift, npos)] == stamp) {
+          npos += dir;
+          continue;
+        }
+        break;
+      }
+      if (npos < 0 || npos >= n) break;
+      const int32_t nid = csa.SortedId(shift, npos);
+      const int32_t nlen = csa.Lcp(nid, probes[probe], shift);
+      if (nlen != len || out->size() >= count) {
+        heap.push_back(Csa::PackHeapKey(nlen, shift, npos, probe, dir));
+        std::push_heap(heap.begin(), heap.end());
+        break;
+      }
+      if (dedup_positions) visited(npos) = stamp;
+      scratch->seen[nid] = stamp;
+      out->push_back({nid, nlen});
+      npos += dir;
+    }
+  }
+}
+
+// Seeds `scratch` the way LCCS-LSH (one probe) and MP-LCCS-LSH (several)
+// do: the bound cascade for probe 0, a full search per shift for the rest.
+void SeedHeap(const CircularShiftArray& csa,
+              const std::vector<const HashValue*>& probes,
+              CircularShiftArray::SearchScratch* scratch) {
+  const size_t n = csa.n(), m = csa.m();
+  scratch->Begin(n, m, probes.size() > 1 ? m * n : 0);
+  csa.SearchBounds(probes[0], scratch);
+  for (size_t p = 1; p < probes.size(); ++p) {
+    for (size_t shift = 0; shift < m; ++shift) {
+      const auto b = csa.SearchShift(probes[p], shift, 0,
+                                     static_cast<int32_t>(n) - 1);
+      csa.PushBounds(b, shift, static_cast<int32_t>(p), scratch);
+    }
+  }
+}
+
+struct DrainCase {
+  size_t n;
+  size_t m;
+  size_t num_probes;
+};
+
+class CsaNeighborLcpDrain : public ::testing::TestWithParam<DrainCase> {};
+
+TEST_P(CsaNeighborLcpDrain, MatchesRereadingDrainExactly) {
+  const auto param = GetParam();
+  const size_t n = param.n, m = param.m;
+  const auto data = DeepRunStrings(n, m, 11 + m);
+  CircularShiftArray csa;
+  csa.Build(data.data(), n, m);
+  util::Rng rng(12 + m);
+  CircularShiftArray::SearchScratch fast, reference;
+  std::vector<HashValue> probe_buf(param.num_probes * m);
+  std::vector<const HashValue*> probes(param.num_probes);
+  size_t saturated_runs = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    // The query is a perturbed base row, so the chains run deep; the extra
+    // probes flip a few of its symbols, as multi-probe perturbations do.
+    const HashValue* row = data.data() + rng.NextBounded(n) * m;
+    for (size_t p = 0; p < param.num_probes; ++p) {
+      HashValue* probe = probe_buf.data() + p * m;
+      std::copy(row, row + m, probe);
+      const size_t flips = p == 0 ? rng.NextBounded(2) : 1 + rng.NextBounded(2);
+      for (size_t f = 0; f < flips; ++f) probe[rng.NextBounded(m)] ^= 1;
+      probes[p] = probe;
+    }
+    const size_t count = trial % 3 == 0 ? n : 1 + rng.NextBounded(n);
+    std::vector<LccsCandidate> got, expected;
+    SeedHeap(csa, probes, &fast);
+    SeedHeap(csa, probes, &reference);
+    csa.CollectFromHeap(probes.data(), probes.size(), count, &fast, &got);
+    RereadingCollect(csa, probes.data(), probes.size(), count, &reference,
+                     &expected);
+    ASSERT_EQ(got.size(), expected.size()) << "trial " << trial;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].id, expected[i].id) << "trial " << trial << " i " << i;
+      ASSERT_EQ(got[i].len, expected[i].len)
+          << "trial " << trial << " i " << i;
+      if (got[i].len > CircularShiftArray::kNeighborLcpCap) ++saturated_runs;
+    }
+  }
+  if (m > static_cast<size_t>(CircularShiftArray::kNeighborLcpCap)) {
+    // The data must actually reach the saturated-LCP fallback.
+    EXPECT_GT(saturated_runs, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, CsaNeighborLcpDrain,
+    ::testing::Values(DrainCase{60, 1, 1}, DrainCase{60, 1, 3},
+                      DrainCase{120, 2, 1}, DrainCase{120, 2, 4},
+                      DrainCase{300, 64, 1}, DrainCase{300, 64, 6},
+                      DrainCase{200, 300, 1}, DrainCase{200, 300, 5}));
+
+TEST(CsaNeighborLcpTest, EveryEntryIsTheCappedLcpOfSortedNeighbours) {
+  for (const size_t m : {size_t{1}, size_t{2}, size_t{7}, size_t{64},
+                         size_t{300}}) {
+    const size_t n = 150;
+    const auto data = DeepRunStrings(n, m, 21 + m);
+    CircularShiftArray csa;
+    csa.Build(data.data(), n, m);
+    for (size_t shift = 0; shift < m; ++shift) {
+      for (size_t pos = 0; pos + 1 < n; ++pos) {
+        const int32_t lcp =
+            CircularLcp(csa.String(csa.SortedId(shift, pos)),
+                        csa.String(csa.SortedId(shift, pos + 1)), m, shift);
+        ASSERT_EQ(csa.NeighborLcp(shift, pos),
+                  std::min(lcp, CircularShiftArray::kNeighborLcpCap))
+            << "m " << m << " shift " << shift << " pos " << pos;
+      }
+      ASSERT_EQ(csa.NeighborLcp(shift, n - 1), 0);
+    }
+  }
+}
+
+TEST(CsaNeighborLcpTest, DeserializeDerivesTheSameArrayAndSearches) {
+  const size_t n = 180, m = 300;
+  const auto data = DeepRunStrings(n, m, 31);
+  CircularShiftArray csa;
+  csa.Build(data.data(), n, m);
+  std::ostringstream out(std::ios::binary);
+  csa.Serialize(out);
+  std::istringstream in(out.str(), std::ios::binary);
+  const CircularShiftArray restored = CircularShiftArray::Deserialize(in);
+  for (size_t shift = 0; shift < m; ++shift) {
+    for (size_t pos = 0; pos < n; ++pos) {
+      ASSERT_EQ(restored.NeighborLcp(shift, pos), csa.NeighborLcp(shift, pos))
+          << "shift " << shift << " pos " << pos;
+    }
+  }
+  util::Rng rng(32);
+  for (int trial = 0; trial < 10; ++trial) {
+    const size_t row = rng.NextBounded(n);
+    std::vector<HashValue> q(data.begin() + row * m,
+                             data.begin() + (row + 1) * m);
+    q[rng.NextBounded(m)] ^= 1;
+    const auto a = csa.Search(q.data(), n);
+    const auto b = restored.Search(q.data(), n);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a[i].id, b[i].id);
+      ASSERT_EQ(a[i].len, b[i].len);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Corrupt-stream hardening of Deserialize: a flipped header must always
 // surface as std::runtime_error — never as std::bad_alloc or an OOM kill —
 // because the header-derived allocations are capped by what the stream can
@@ -383,6 +595,39 @@ TEST(CsaDeserializeTest, RoundTripStillWorks) {
     EXPECT_EQ(a[i].id, b[i].id);
     EXPECT_EQ(a[i].len, b[i].len);
   }
+}
+
+// Deserialize derives the neighbour LCPs from the sorted indices, so it
+// rejects indices that are not permutations or not in shift order.
+// Layout: 24-byte header, data_ (8-byte count + n*m int32), then sorted_
+// (8-byte count + m*n int32, shift-major).
+size_t SortedEntryOffset(size_t n, size_t m, size_t shift, size_t pos) {
+  return 24 + 8 + n * m * sizeof(HashValue) + 8 +
+         (shift * n + pos) * sizeof(int32_t);
+}
+
+TEST(CsaDeserializeTest, SortedIndexOutOfShiftOrderThrowsRuntimeError) {
+  const size_t n = 12, m = 6;
+  for (const size_t shift : {size_t{0}, size_t{1}, m - 1}) {
+    std::string bytes = SerializedCsa(n, m);
+    const size_t a = SortedEntryOffset(n, m, shift, 0);
+    const size_t b = SortedEntryOffset(n, m, shift, n - 1);
+    for (size_t i = 0; i < sizeof(int32_t); ++i) {
+      std::swap(bytes[a + i], bytes[b + i]);
+    }
+    std::istringstream in(bytes, std::ios::binary);
+    EXPECT_THROW(CircularShiftArray::Deserialize(in), std::runtime_error)
+        << "shift " << shift;
+  }
+}
+
+TEST(CsaDeserializeTest, SortedIndexWithRepeatedIdThrowsRuntimeError) {
+  const size_t n = 12, m = 6;
+  std::string bytes = SerializedCsa(n, m);
+  std::memcpy(&bytes[SortedEntryOffset(n, m, 0, 1)],
+              &bytes[SortedEntryOffset(n, m, 0, 0)], sizeof(int32_t));
+  std::istringstream in(bytes, std::ios::binary);
+  EXPECT_THROW(CircularShiftArray::Deserialize(in), std::runtime_error);
 }
 
 // Degenerate: all strings identical and equal to the query.
